@@ -8,7 +8,6 @@ then `u v` lines, # comments allowed).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .configurations import format_config, parse_config_literal
@@ -17,10 +16,10 @@ from .follower import is_solvable, max_deliverable
 from .graphs import parse_graph_spec
 from .leader import BilevelInstance, max_unsolvable
 from .orchestrator import (
-    instance_key,
     load_plan,
     load_records,
     plan,
+    plan_from_covers,
     report,
     run,
     save_plan,
@@ -102,25 +101,10 @@ def cmd_cover(args) -> int:
         for s in design.sets:
             print(",".join(map(str, s)))
     if args.emit_plan:
-        payload = {
-            "graph_spec": args.graph,
-            "root": args.root,
-            "k": args.k,
-            "c": args.c,
-            "instances": [
-                {
-                    "key": instance_key(args.root, s, args.lower, None),
-                    "root": args.root,
-                    "support": list(s),
-                    "lower": args.lower,
-                    "upper": None,
-                }
-                for s in design.sets
-            ],
-        }
-        with open(args.emit_plan, "w") as fh:
-            json.dump(payload, fh, indent=1)
-            fh.write("\n")
+        p = plan_from_covers(
+            args.graph, args.k, args.c, args.lower, None, 1, [(args.root, design.sets)]
+        )
+        save_plan(p, args.emit_plan)
         print(f"plan written to {args.emit_plan}")
     return 0
 

@@ -9,7 +9,8 @@ Layered decision procedure, sound at every layer:
   2. greedy collapse and stack-merge accepts (constructive move witnesses),
   3. node-capped search over distance-decreasing moves,
   4. exhaustive depth-first search over all weight-feasible moves, with
-     memoization on residual configurations.
+     memoization on residual configurations; it returns the winning move
+     path, which is the certificate of every delivered count.
 Layers 1-3 only ever claim "solvable"; layer 4 is complete.
 """
 
@@ -67,38 +68,47 @@ class MoveMultigraph:
     def from_arcs(cls, n: int, arcs_seq) -> "MoveMultigraph":
         return cls(n, Counter(arcs_seq))
 
-    def in_degree(self, v: int) -> int:
-        return sum(m for a, m in self.multiplicity.items() if a.head == v)
-
-    def out_degree(self, v: int) -> int:
-        return sum(m for a, m in self.multiplicity.items() if a.tail == v)
-
     def is_acyclic(self) -> bool:
-        adj: dict[int, set[int]] = {}
-        for a, m in self.multiplicity.items():
-            if m > 0:
-                adj.setdefault(a.tail, set()).add(a.head)
-        state: dict[int, int] = {}  # 0 visiting, 1 done
-        for start in list(adj):
-            if start in state:
-                continue
-            stack = [(start, iter(adj.get(start, ())))]
-            state[start] = 0
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for nxt in it:
-                    if nxt not in state:
-                        state[nxt] = 0
-                        stack.append((nxt, iter(adj.get(nxt, ()))))
-                        advanced = True
-                        break
-                    if state[nxt] == 0:
-                        return False
-                if not advanced:
-                    state[node] = 1
-                    stack.pop()
-        return True
+        return _find_cycle(self.multiplicity) is None
+
+
+def _find_cycle(multiplicity) -> list[Arc] | None:
+    """One directed cycle among the arcs of positive multiplicity, or None."""
+    adj: dict[int, list[int]] = {}
+    for a, m in multiplicity.items():
+        if m > 0:
+            adj.setdefault(a.tail, []).append(a.head)
+    color: dict[int, int] = {}  # 0 visiting, 1 done
+    parent: dict[int, int] = {}
+    for start in list(adj):
+        if start in color:
+            continue
+        stack = [(start, iter(adj.get(start, ())))]
+        color[start] = 0
+        while stack:
+            node, it = stack[-1]
+            advanced = False
+            for nxt in it:
+                if nxt not in color:
+                    color[nxt] = 0
+                    parent[nxt] = node
+                    stack.append((nxt, iter(adj.get(nxt, ()))))
+                    advanced = True
+                    break
+                if color[nxt] == 0:
+                    cyc = [nxt]
+                    cur = node
+                    while cur != nxt:
+                        cyc.append(cur)
+                        cur = parent[cur]
+                    cyc.reverse()
+                    return [
+                        Arc(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))
+                    ]
+            if not advanced:
+                color[node] = 1
+                stack.pop()
+    return None
 
 
 @dataclass
@@ -207,7 +217,7 @@ class FollowerEngine:
             nonlocal count
             if count > budget:
                 return False
-            key = bytes(q) if max(q) < 256 else tuple(q)
+            key = self._key(q)
             if key in seen:
                 return False
             seen.add(key)
@@ -232,8 +242,12 @@ class FollowerEngine:
     def _key(self, q):
         return bytes(q) if max(q) < 256 else tuple(q)
 
-    def _dfs(self, q, W, goal, dead) -> bool:
-        """Complete search over weight-feasible moves; q mutated in place."""
+    def _dfs(self, q, W, goal, dead, path) -> bool:
+        """Complete search over weight-feasible moves; q mutated in place.
+
+        On success the winning moves are appended to path as the recursion
+        unwinds, so path holds them last move first.
+        """
         key = self._key(q)
         if key in dead:
             return False
@@ -251,13 +265,15 @@ class FollowerEngine:
                 if nW < target:
                     continue
                 if w == r and q[r] + 1 >= goal:
+                    path.append(Arc(u, w))
                     return True
                 q[u] -= 2
                 q[w] += 1
-                ok = self._dfs(q, nW, goal, dead)
+                ok = self._dfs(q, nW, goal, dead, path)
                 q[u] += 2
                 q[w] -= 1
                 if ok:
+                    path.append(Arc(u, w))
                     return True
         if len(dead) > DEAD_SET_LIMIT:
             dead.clear()
@@ -290,7 +306,7 @@ class FollowerEngine:
         if not res:
             dead = self._dead.setdefault(goal, set())
             _raise_recursion_limit(sum(q))
-            res = self._dfs(q, W, goal, dead)
+            res = self._dfs(q, W, goal, dead, [])
         if len(self._cache) > DEAD_SET_LIMIT:
             self._cache.clear()
         self._cache[key] = res
@@ -322,42 +338,8 @@ class FollowerEngine:
         if W < goal * self.scale:
             return None
         _raise_recursion_limit(sum(q))
-        moves: list[Arc] = []
-        dead: set = set()
-        r, wt, target = self.r, self.wt, goal * self.scale
-
-        def rec(W) -> bool:
-            if q[r] >= goal:
-                return True
-            key = self._key(q)
-            if key in dead:
-                return False
-            self.dfs_nodes += 1
-            if self.deadline is not None and self.dfs_nodes % 4096 == 0:
-                if time.monotonic() > self.deadline:
-                    raise TimeoutError("follower deadline elapsed")
-            for u in range(self.n):
-                if q[u] < 2 or u == r:
-                    continue
-                wu2 = 2 * wt[u]
-                for w in self.moves[u]:
-                    nW = W - wu2 + wt[w]
-                    if nW < target:
-                        continue
-                    q[u] -= 2
-                    q[w] += 1
-                    moves.append(Arc(u, w))
-                    if rec(nW):
-                        return True
-                    moves.pop()
-                    q[u] += 2
-                    q[w] -= 1
-            if len(dead) > DEAD_SET_LIMIT:
-                dead.clear()
-            dead.add(key)
-            return False
-
-        return list(moves) if rec(W) else None
+        path: list[Arc] = []
+        return path[::-1] if self._dfs(q, W, goal, set(), path) else None
 
 
 def _raise_recursion_limit(size: int):
@@ -452,52 +434,8 @@ def purify_flow(g: Graph, z: FlowVector, p: Configuration, r: int) -> FlowVector
     outgoing flow and thus lies on no cycle.
     """
     flow = dict(z.z)
-
-    def find_cycle() -> list[Arc] | None:
-        adj: dict[int, list[int]] = {}
-        for a, m in flow.items():
-            if m > 0:
-                adj.setdefault(a.tail, []).append(a.head)
-        color: dict[int, int] = {}
-        parent: dict[int, int] = {}
-
-        def walk(s) -> list[Arc] | None:
-            stack = [(s, iter(adj.get(s, ())))]
-            color[s] = 0
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for nxt in it:
-                    if nxt not in color:
-                        color[nxt] = 0
-                        parent[nxt] = node
-                        stack.append((nxt, iter(adj.get(nxt, ()))))
-                        advanced = True
-                        break
-                    if color[nxt] == 0:
-                        cyc = [nxt]
-                        cur = node
-                        while cur != nxt:
-                            cyc.append(cur)
-                            cur = parent[cur]
-                        cyc.reverse()
-                        return [
-                            Arc(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))
-                        ]
-                if not advanced:
-                    color[node] = 1
-                    stack.pop()
-            return None
-
-        for s in list(adj):
-            if s not in color:
-                cyc = walk(s)
-                if cyc is not None:
-                    return cyc
-        return None
-
     while True:
-        cycle = find_cycle()
+        cycle = _find_cycle(flow)
         if cycle is None:
             return FlowVector(flow)
         delta = min(flow[a] for a in cycle)

@@ -60,11 +60,6 @@ class BilevelInstance:
         d = self.graph.distance_table[self.root]
         return sum((1 << d[v]) - 1 for v in self.support)
 
-    def key(self) -> str:
-        s = "-".join(str(v) for v in self.support)
-        upper = self.upper if self.upper is not None else self.capacity_bound()
-        return f"r{self.root}:S{s}:L{self.lower}:U{upper}"
-
 
 @dataclass
 class BilevelOutcome:
@@ -310,24 +305,27 @@ def max_unsolvable(inst: BilevelInstance) -> BilevelOutcome:
     root-sink constraint pins its optimal value to zero on any witness.
     """
     t0 = time.monotonic()
-    search = _Search(inst)
-    eng = search.eng
+    eng = engine_for(inst.graph, inst.root)
     calls0 = eng.calls
-    lower = inst.lower
-    upper = inst.upper if inst.upper is not None else inst.capacity_bound()
-    upper = min(upper, sum(search.caps))
+    search = None
 
     def result(status, value=None, witness=None):
-        eng.deadline = None
+        nodes = search.nodes if search is not None else 0
         return BilevelOutcome(
             status=status,
             value=value,
             witness=witness,
             elapsed=time.monotonic() - t0,
-            nodes=search.nodes + (eng.calls - calls0),
+            nodes=nodes + (eng.calls - calls0),
         )
 
+    # building the search already probes pair frontiers under the cap, and the
+    # engine is shared, so its deadline is cleared however the search ends
     try:
+        search = _Search(inst)
+        lower = inst.lower
+        upper = inst.upper if inst.upper is not None else inst.capacity_bound()
+        upper = min(upper, sum(search.caps))
         if lower > upper:
             return result("Infeasible")
         best = search.find_witness(lower)
@@ -355,11 +353,12 @@ def max_unsolvable(inst: BilevelInstance) -> BilevelOutcome:
                 m += 1
     except TimeoutError:
         return result("TimedOut")
+    finally:
+        eng.deadline = None
 
     witness = Configuration.from_map(inst.graph.n, best)
     if eng.decide(witness.counts):
         raise AssertionError("witness certification failed: follower solved it")
-    eng.deadline = None
     return result("Optimal", value=best_size, witness=witness)
 
 

@@ -72,6 +72,16 @@ def instance_key(root: int, support, lower: int, upper: int | None) -> str:
     return f"r{root}:S{s}:L{lower}:U{u}"
 
 
+def root_covers(g: Graph, k: int, c: int) -> list[tuple[int, list[tuple[int, ...]]]]:
+    """Greedy cover sets of the support-k classes at each root orbit representative."""
+    group = automorphisms(g)
+    covers = []
+    for r in orbit_representatives(g, group):
+        classes = support_class_reps(g, r, k, group)
+        covers.append((r, greedy_cover(classes.reps, c, root=r).sets))
+    return covers
+
+
 def plan(
     g: Graph,
     k: int,
@@ -84,14 +94,21 @@ def plan(
     """Generate all (root, cover-set) instances and assign roots to workers."""
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    group = automorphisms(g)
-    roots = orbit_representatives(g)
-    covers = []
-    for r in roots:
-        classes = support_class_reps(g, r, k, group)
-        design = greedy_cover(classes.reps, c, root=r)
-        covers.append((r, design.sets))
-    covers.sort(key=lambda rc: (-len(rc[1]), rc[0]))
+    covers = root_covers(g, k, c)
+    return plan_from_covers(graph_spec or g.name, k, c, lower, upper, workers, covers)
+
+
+def plan_from_covers(
+    graph_spec: str,
+    k: int,
+    c: int,
+    lower: int,
+    upper: int | None,
+    workers: int,
+    covers: list[tuple[int, list[tuple[int, ...]]]],
+) -> JobPlan:
+    """One instance per (root, cover set); whole roots go round-robin to workers."""
+    covers = sorted(covers, key=lambda rc: (-len(rc[1]), rc[0]))
     instances = []
     for slot, (r, sets) in enumerate(covers):
         worker = slot % workers
@@ -107,7 +124,7 @@ def plan(
                 )
             )
     return JobPlan(
-        graph_spec=graph_spec or g.name,
+        graph_spec=graph_spec,
         k=k,
         c=c,
         lower=lower,

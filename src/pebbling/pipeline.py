@@ -13,18 +13,12 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .configurations import Configuration
-from .covering import CoveringDesign, greedy_cover
 from .follower import engine_for
 from .graphs import Graph, cartesian_product
 from .leader import BilevelInstance, max_unsolvable
 from .leader import pi_support as _pi_support
-from .symmetry import (
-    AutGroup,
-    automorphisms,
-    orbit_representatives,
-    subset_orbit_reps,
-    support_class_reps,
-)
+from .orchestrator import root_covers
+from .symmetry import automorphisms, orbit_representatives, subset_orbit_reps
 
 
 @dataclass
@@ -59,13 +53,6 @@ def pi(g: Graph, time_cap: float | None = None) -> int:
     return max(pi_rooted(g, r, time_cap) for r in orbit_representatives(g))
 
 
-def _cover_for_root(
-    g: Graph, r: int, k: int, c: int, group: AutGroup
-) -> CoveringDesign:
-    classes = support_class_reps(g, r, k, group)
-    return greedy_cover(classes.reps, c, root=r)
-
-
 def pi_k_upper(
     g: Graph,
     k: int,
@@ -88,17 +75,13 @@ def pi_k_upper(
     if not 1 <= k <= c <= g.n - 1:
         raise ValueError(f"need 1 <= k <= c <= n-1, got k={k}, c={c}")
     L = g.n if class0 else (lower if lower is not None else 1)
-    group = automorphisms(g)
-    roots = orbit_representatives(g)
-    pool: list[tuple[int, tuple[int, ...]]] = []
-    for r in roots:
-        design = _cover_for_root(g, r, k, c, group)
-        pool.extend((r, s) for s in design.sets)
+    covers = root_covers(g, k, c)
+    pool = [(r, s) for r, sets in covers for s in sets]
     chosen = pool
     if sample is not None and sample < len(pool):
         chosen = random.Random(seed).sample(pool, sample)
     results: list[InstanceResult] = []
-    per_root: dict[int, int | None] = {r: None for r in roots}
+    per_root: dict[int, int | None] = {r: None for r, _ in covers}
     certificate = None
     best = None
     complete = sample is None or len(chosen) == len(pool)

@@ -18,7 +18,7 @@ from itertools import combinations, permutations, product as iproduct
 
 import pytest
 
-from pebbling.configurations import Configuration
+from pebbling.configurations import Configuration, apply_move
 from pebbling.covering import greedy_cover, validate_cover
 from pebbling.follower import (
     FlowVector,
@@ -297,6 +297,11 @@ def test_flow_oracle_equivalence_suite():
                     res = max_deliverable(g, p, r)
                     assert res.delivered == bfs_oracle(g, p, r), (g.name, r, counts)
                     assert flow_is_feasible(g, res.flow, p, r)
+                    q = p
+                    for a in res.moves:
+                        assert a.tail != r and a.head in g.adjacency[a.tail]
+                        q = apply_move(q, a)
+                    assert q[r] - p[r] == res.delivered, (g.name, r, counts)
                     exhaustive += 1
 
     # randomized part: 10,000 cases on 6..8 vertices

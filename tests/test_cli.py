@@ -93,6 +93,11 @@ def test_cover_and_emit_plan(tmp_path, capsys):
     assert first["lower"] == 8
     assert first["key"].endswith(":L8:Ucap")
     assert first["root"] == 0
+    log_path = tmp_path / "log.jsonl"
+    code, out = run_cli(capsys, "batch", "--plan", str(plan_path), "--out", str(log_path))
+    assert code == 0
+    assert f"new_records {len(payload['instances'])}" in out
+    assert len(log_path.read_text().splitlines()) == len(payload["instances"])
 
 
 def test_pi(capsys):

@@ -25,12 +25,11 @@ def test_instance_validation():
         BilevelInstance(g, 0, (1,), lower=3, upper=2)
 
 
-def test_instance_key_and_capacity():
+def test_instance_support_and_capacity():
     g = catalog("path:3")
     inst = BilevelInstance(g, 0, (2, 1))
     assert inst.support == (1, 2)
     assert inst.capacity_bound() == 1 + 3
-    assert inst.key() == "r0:S1-2:L1:U4"
 
 
 def test_lower_above_capacity_is_infeasible():
@@ -123,6 +122,15 @@ def test_tiny_time_cap_times_out():
     assert out.status == "TimedOut"
     assert out.value is None and out.witness is None
     assert out.elapsed < 30
+
+
+def test_time_cap_during_setup_times_out_and_clears_deadline():
+    # twelve support vertices: the pair frontiers alone outlast the cap
+    g = catalog("product:lemke1,lemke1")
+    inst = BilevelInstance(g, 9, tuple(range(40, 52)), lower=64, time_cap=1e-6)
+    out = max_unsolvable(inst)
+    assert out.status == "TimedOut"
+    assert engine_for(g, 9).deadline is None
 
 
 def test_outcome_carries_counters():
