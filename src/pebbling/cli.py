@@ -12,7 +12,7 @@ import sys
 
 from .configurations import format_config, parse_config_literal
 from .covering import greedy_cover, validate_cover
-from .follower import is_solvable, max_deliverable
+from .follower import max_deliverable
 from .graphs import parse_graph_spec
 from .leader import BilevelInstance, max_unsolvable
 from .orchestrator import (
@@ -28,10 +28,9 @@ from .pipeline import (
     graham_support_check,
     pi,
     pi_k_upper,
-    pi_rooted,
     two_pebbling_witness,
 )
-from .symmetry import automorphisms, support_class_reps, vertex_orbits
+from .symmetry import support_class_reps, vertex_orbits
 
 
 def _parse_support(text: str) -> tuple[int, ...]:

@@ -2,14 +2,16 @@
 
 greedy_cover grows each cover set by absorbing family members in the given
 iteration order while the union stays within capacity, then drops every
-covered member.  A packed-bitmask fast path handles product-scale families;
-it computes the identical design (growth can only shrink the set of
-absorbable members, so a forward scan reproduces the plain pass).
+covered member.  Members and sets are word-major uint64 bitmasks (vertex v
+is bit v % 64 of word v // 64), so one forward scan over the remaining
+members finds each absorption: growth can only shrink the set of absorbable
+members, so no earlier member needs a second look.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -31,90 +33,59 @@ def greedy_cover(family, c: int, root: int = -1) -> CoveringDesign:
         raise ValueError("family members must share one size k")
     if c < k:
         raise ValueError(f"capacity {c} below member size {k}")
-    top = max(v for t in members for v in t)
-    if top < 64 and len(members) > 2000:
-        sets = _greedy_masks(members, c)
-    else:
-        sets = _greedy_plain(members, c)
-    return CoveringDesign(root=root, capacity=c, sets=sets)
-
-
-def _greedy_plain(members, c) -> list[tuple[int, ...]]:
-    live = [frozenset(t) for t in members]
-    out = []
-    while live:
-        grown: frozenset = frozenset()
-        for t in live:
-            if len(grown | t) <= c:
-                grown = grown | t
-        live = [t for t in live if not t <= grown]
-        out.append(tuple(sorted(grown)))
-    return out
-
-
-def _greedy_masks(members, c) -> list[tuple[int, ...]]:
-    masks = np.array(
-        [np.uint64(sum(1 << v for v in t)) for t in members], dtype=np.uint64
-    )
-    cap = np.uint64(c)
-    out = []
-    while masks.size:
-        grown = np.uint64(0)
-        cursor = 0
-        while cursor < masks.size:
-            gain = np.bitwise_count(masks[cursor:] & ~grown)
-            fits = (gain >= 1) & (
-                np.bitwise_count(masks[cursor:] | grown) <= cap
-            )
-            hits = np.flatnonzero(fits)
-            if hits.size == 0:
+    masks = _masks(members, _words(members))
+    width = np.min_scalar_type(k)  # a member has at most k bits outside a set
+    sets = []
+    while masks.shape[1]:
+        grown = np.zeros(len(masks), dtype=np.uint64)
+        size = cursor = 0
+        while cursor < masks.shape[1]:
+            outside = masks[:, cursor:] & ~grown[:, None]
+            gain = np.bitwise_count(outside).sum(axis=0, dtype=width)
+            fits = (gain >= 1) & (gain <= c - size)
+            first = int(fits.argmax())
+            if not fits[first]:
                 break
-            index = cursor + int(hits[0])
-            grown |= masks[index]
-            cursor = index + 1
-        out.append(grown)
-        masks = masks[np.bitwise_count(masks & ~grown) != 0]
-    return [_mask_to_tuple(m) for m in out]
-
-
-def _mask_to_tuple(mask) -> tuple[int, ...]:
-    mask = int(mask)
-    vs = []
-    while mask:
-        low = mask & -mask
-        vs.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(vs)
+            grown |= masks[:, cursor + first]
+            size += int(gain[first])
+            cursor += first + 1
+        sets.append(_vertices(grown))
+        masks = masks.compress((masks & ~grown[:, None]).any(axis=0), axis=1)
+    return CoveringDesign(root=root, capacity=c, sets=sets)
 
 
 def validate_cover(design: CoveringDesign, family) -> bool:
     """Check sizes <= capacity, root exclusion, and that every member is covered."""
-    sets = [frozenset(s) for s in design.sets]
-    for s in sets:
-        if len(s) > design.capacity:
+    for s in design.sets:
+        if len(frozenset(s)) > design.capacity:
             return False
         if design.root >= 0 and design.root in s:
             return False
     family = list(family)
-    top = max((v for t in family for v in t), default=0)
-    if top < 64 and len(family) * len(sets) > 1_000_000:
-        return _validate_masks(sets, family)
-    for t in family:
-        member = frozenset(t)
-        if not any(member <= s for s in sets):
-            return False
-    return True
+    words = _words(chain(family, design.sets))
+    uncovered = _masks(family, words)
+    for s in _masks(design.sets, words).T:
+        if not uncovered.shape[1]:
+            break
+        uncovered = uncovered.compress((uncovered & ~s[:, None]).any(axis=0), axis=1)
+    return not uncovered.shape[1]
 
 
-def _validate_masks(sets, family) -> bool:
-    members = np.array(
-        [np.uint64(sum(1 << v for v in t)) for t in family], dtype=np.uint64
-    )
-    uncovered = np.ones(members.size, dtype=bool)
-    for s in sets:
-        mask = ~np.uint64(sum(1 << v for v in s))
-        idx = np.flatnonzero(uncovered)
-        if idx.size == 0:
-            return True
-        uncovered[idx] = (members[idx] & mask) != 0
-    return not uncovered.any()
+def _words(sets) -> int:
+    return max((v for s in sets for v in s), default=0) // 64 + 1
+
+
+def _masks(sets, words: int) -> np.ndarray:
+    """A (words, len(sets)) uint64 array; column i is the bitmask of sets[i]."""
+    sets = list(sets)
+    flat = np.fromiter(chain.from_iterable(sets), dtype=np.intp)
+    column = np.repeat(np.arange(len(sets)), [len(s) for s in sets])
+    masks = np.zeros((words, len(sets)), dtype=np.uint64)
+    bits = np.uint64(1) << (flat & 63).astype(np.uint64)
+    np.bitwise_or.at(masks, (flat >> 6, column), bits)
+    return masks
+
+
+def _vertices(mask: np.ndarray) -> tuple[int, ...]:
+    bits = np.unpackbits(mask.astype("<u8").view(np.uint8), bitorder="little")
+    return tuple(np.flatnonzero(bits).tolist())

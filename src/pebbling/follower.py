@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import sys
 import time
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .configurations import Configuration, scaled_weight
@@ -446,7 +446,11 @@ def purify_flow(g: Graph, z: FlowVector, p: Configuration, r: int) -> FlowVector
 
 
 def flow_is_feasible(g: Graph, z: FlowVector, p: Configuration, r: int) -> bool:
-    """Balance at every vertex plus zero outflow at the root."""
+    """Balance at every vertex plus zero outflow at the root.
+
+    It does not check how many pebbles the flow delivers; callers compare
+    `z.inflow(r)` with the claimed count themselves.
+    """
     if z.outflow(r) != 0:
         return False
     return balance_check(MoveMultigraph.from_flow(g, z), p)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from dataclasses import asdict, dataclass, field
 
 from .covering import greedy_cover

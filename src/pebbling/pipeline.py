@@ -10,7 +10,6 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from itertools import combinations
 
 from .configurations import Configuration
 from .follower import engine_for

@@ -2,15 +2,17 @@
 
 The group is found by backtracking over a color-refinement partition, so
 product graphs are handled directly without assuming anything about how
-their groups factor.  Subset classes under the root stabilizer use a
-canonical form (lexicographically minimal image) computed either plainly
-or via a packed-integer vectorized sweep when the subset space is large.
+their groups factor.  Subset classes use a canonical form, the
+lexicographically minimal sorted image under the group; one array sweep
+over all k-subsets keeps, permutation by permutation, the subsets that no
+image undercuts.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -185,63 +187,39 @@ def support_class_reps(
     if not 1 <= k <= g.n - 1:
         raise ValueError(f"need 1 <= k <= n-1, got k={k}")
     group = group or automorphisms(g)
-    stab = stabilizer(group, r)
     others = [v for v in range(g.n) if v != r]
-    total = _comb(len(others), k)
-    if g.n <= 64 and k <= 10 and total * len(stab) > 2_000_000:
-        reps = _class_reps_vectorized(g.n, stab, others, k)
-    else:
-        reps = _class_reps_plain(stab, others, k)
+    reps = _canonical_subsets(stabilizer(group, r), others, k)
     if g.n <= 64:
-        masks = np.array(
-            [np.uint64(sum(1 << v for v in rep)) for rep in reps], dtype=np.uint64
-        )
-        reps = [reps[i] for i in _scrambled_order(masks)]
+        bits = np.uint64(1) << reps.astype(np.uint64)
+        reps = reps[_scrambled_order(np.bitwise_or.reduce(bits, axis=1))]
+    reps = [tuple(row) for row in reps.tolist()]
     return SupportClasses(root=r, k=k, reps=reps, class_count=len(reps))
 
 
 def subset_orbit_reps(g: Graph, k: int, group: AutGroup | None = None) -> list[tuple[int, ...]]:
     """Representatives of k-subsets of V under the full automorphism group."""
     group = group or automorphisms(g)
-    reps = []
-    for sub in combinations(range(g.n), k):
-        canon = min(p.apply_set(sub) for p in group.elements)
-        if canon == sub:
-            reps.append(sub)
-    return reps
+    reps = _canonical_subsets(group.elements, range(g.n), k)
+    return [tuple(row) for row in reps.tolist()]
 
 
-def _comb(n: int, k: int) -> int:
-    import math
+def _canonical_subsets(perms, others, k) -> np.ndarray:
+    """The k-subsets of sorted `others` that are their own canonical form.
 
-    return math.comb(n, k)
-
-
-def _class_reps_plain(stab, others, k) -> list[tuple[int, ...]]:
-    reps = []
-    for sub in combinations(others, k):
-        canon = min(p.apply_set(sub) for p in stab)
-        if canon == sub:
-            reps.append(sub)
-    return reps
-
-
-def _class_reps_vectorized(n, stab, others, k) -> list[tuple[int, ...]]:
-    """Packed-integer minimum over stabilizer images, chunked over subsets."""
-    shifts = np.array([6 * (k - 1 - i) for i in range(k)], dtype=np.uint64)
-    subs = np.fromiter(
-        (v for sub in combinations(others, k) for v in sub), dtype=np.int64
-    ).reshape(-1, k)
-    canon = None
-    for p in stab:
-        img = np.array(p.image, dtype=np.int64)
-        rows = np.sort(img[subs], axis=1).astype(np.uint64)
-        packed = (rows << shifts).sum(axis=1)
-        canon = packed if canon is None else np.minimum(canon, packed)
-    unique = np.unique(canon)
-    out = []
-    mask = np.uint64(0x3F)
-    for value in unique:
-        vs = tuple(int((value >> np.uint64(6 * (k - 1 - i))) & mask) for i in range(k))
-        out.append(vs)
-    return out
+    Every permutation in `perms` must map `others` onto itself.  Rows start as every k-subset in lexicographic order; each permutation
+    drops the rows whose sorted image is lexicographically smaller, so the
+    survivors are the lex-minimal forms, still in lexicographic order.
+    """
+    count = math.comb(len(others), k)
+    rows = np.fromiter(
+        chain.from_iterable(combinations(others, k)), dtype=np.intp, count=count * k
+    ).reshape(count, k)
+    for p in perms:
+        image = np.sort(np.asarray(p.image, dtype=np.intp)[rows], axis=1)
+        lower = np.zeros(len(rows), dtype=bool)
+        equal = np.ones(len(rows), dtype=bool)
+        for j in range(k):
+            lower |= equal & (image[:, j] < rows[:, j])
+            equal &= image[:, j] == rows[:, j]
+        rows = rows[~lower]
+    return rows

@@ -297,6 +297,7 @@ def test_flow_oracle_equivalence_suite():
                     res = max_deliverable(g, p, r)
                     assert res.delivered == bfs_oracle(g, p, r), (g.name, r, counts)
                     assert flow_is_feasible(g, res.flow, p, r)
+                    assert res.flow.inflow(r) == res.delivered, (g.name, r, counts)
                     q = p
                     for a in res.moves:
                         assert a.tail != r and a.head in g.adjacency[a.tail]

@@ -6,7 +6,20 @@ from itertools import combinations
 import pytest
 
 from pebbling.covering import CoveringDesign, greedy_cover, validate_cover
-from pebbling.covering import _greedy_masks, _greedy_plain
+
+
+def _greedy_plain(members, c) -> list[tuple[int, ...]]:
+    """Reference greedy cover over frozensets: absorb in order while |union| <= c."""
+    live = [frozenset(t) for t in members]
+    out = []
+    while live:
+        grown: frozenset = frozenset()
+        for t in live:
+            if len(grown | t) <= c:
+                grown = grown | t
+        live = [t for t in live if not t <= grown]
+        out.append(tuple(sorted(grown)))
+    return out
 
 
 def test_lexicographic_pairs_of_five_capacity_four():
@@ -58,21 +71,21 @@ def test_every_member_inside_some_set():
         assert any(set(t) <= set(s) for s in design.sets)
 
 
-def test_plain_and_mask_paths_identical():
+def test_greedy_cover_matches_plain_oracle_across_word_boundary():
     rng = random.Random(4)
     for trial in range(30):
-        width = rng.randint(8, 30)
+        width = rng.randint(60, 200)
         k = rng.randint(2, 4)
         count = rng.randint(1, 60)
         family = [tuple(sorted(rng.sample(range(width), k))) for _ in range(count)]
         c = rng.randint(k, k + 4)
-        assert _greedy_plain(family, c) == _greedy_masks(family, c)
+        assert greedy_cover(family, c).sets == _greedy_plain(family, c)
 
 
-def test_mask_path_used_at_scale_matches_plain():
+def test_greedy_cover_at_scale_matches_plain_oracle():
     rng = random.Random(8)
     family = [tuple(sorted(rng.sample(range(40), 4))) for _ in range(2500)]
-    design = greedy_cover(family, 8)  # large enough to trigger the mask path
+    design = greedy_cover(family, 8)
     assert design.sets == _greedy_plain(family, 8)
     assert validate_cover(design, family)
 
@@ -92,16 +105,14 @@ def test_validate_rejects_uncovered_member():
     assert not validate_cover(design, [(0, 1), (3, 4)])
 
 
-def test_validate_mask_path_at_scale():
+def test_validate_rejects_truncated_cover_at_scale():
+    # dropping the last set always uncovers the member that started it
     rng = random.Random(12)
-    family = [tuple(sorted(rng.sample(range(30), 3))) for _ in range(2000)]
-    design = greedy_cover(family, 6)
-    # members * sets exceeds the vectorization threshold
-    assert len(family) * len(design.sets) > 1_000_000 or validate_cover(design, family)
-    assert validate_cover(design, family)
-    broken = CoveringDesign(design.root, design.capacity, design.sets[:-1])
-    missing = [t for t in family if not any(set(t) <= set(s) for s in broken.sets)]
-    if missing:
+    for width in (30, 150):
+        family = [tuple(sorted(rng.sample(range(width), 3))) for _ in range(2000)]
+        design = greedy_cover(family, 6)
+        assert validate_cover(design, family)
+        broken = CoveringDesign(design.root, design.capacity, design.sets[:-1])
         assert not validate_cover(broken, family)
 
 

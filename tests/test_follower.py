@@ -75,6 +75,7 @@ def test_delivery_result_replays_legally():
     assert res.flow.total() == len(res.moves)
     assert res.flow.total() <= p.size()
     assert flow_is_feasible(g, res.flow, p, 0)
+    assert res.flow.inflow(0) == res.delivered
 
 
 def test_decide_monotone_in_pebbles():

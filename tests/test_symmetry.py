@@ -126,7 +126,8 @@ def test_support_classes_complete_graph_single_class():
 
 
 def test_support_classes_cover_every_subset_on_small_graphs():
-    for spec in ["path:4", "cycle:5", "cube:3", "lemke1"]:
+    # product:cycle:9,cycle:8 has 72 vertices, past one 64-bit word
+    for spec in ["path:4", "cycle:5", "cube:3", "lemke1", "product:cycle:9,cycle:8"]:
         g = catalog(spec)
         group = automorphisms(g)
         for r in (0, g.n - 1):
@@ -140,9 +141,11 @@ def test_support_classes_cover_every_subset_on_small_graphs():
                     for p in stab:
                         seen.add(p.apply_set(rep))
                 assert seen == {tuple(sorted(s)) for s in combinations(others, k)}
-                # representatives lie in distinct classes
-                canon = {min(p.apply_set(rep) for p in stab) for rep in classes.reps}
-                assert len(canon) == classes.class_count
+                # each representative is its own lex-minimal form, so they
+                # lie in distinct classes
+                canon = [min(p.apply_set(rep) for p in stab) for rep in classes.reps]
+                assert canon == classes.reps
+                assert len(set(canon)) == classes.class_count
 
 
 def test_support_classes_k_range_validated():
@@ -158,7 +161,7 @@ def test_subset_orbit_reps_complete_graph():
     assert len(subset_orbit_reps(g, 2)) == 1
     g2 = catalog("path:4")
     # {0,1} ~ {2,3}, {0,2} ~ {1,3}, {0,3} and {1,2} are fixed classes
-    assert len(subset_orbit_reps(g2, 2)) == 4
+    assert subset_orbit_reps(g2, 2) == [(0, 1), (0, 2), (0, 3), (1, 2)]
 
 
 def test_solvability_invariant_under_automorphism():
