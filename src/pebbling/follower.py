@@ -7,11 +7,10 @@ matching the root-sink constraint of the flow formulation it implements.
 Layered decision procedure, sound at every layer:
   1. arithmetic accepts (single-source floors and their sums),
   2. greedy collapse and stack-merge accepts (constructive move witnesses),
-  3. node-capped search over distance-decreasing moves,
-  4. exhaustive depth-first search over all weight-feasible moves, with
-     memoization on residual configurations; it returns the winning move
-     path, which is the certificate of every delivered count.
-Layers 1-3 only ever claim "solvable"; layer 4 is complete.
+  3. exhaustive depth-first search over all weight-feasible moves, with a
+     per-goal dead set of residual configurations known to fail; it returns
+     the winning move path, which is the certificate of every delivered count.
+Layers 1-2 only ever claim "solvable"; layer 3 is complete.
 """
 
 from __future__ import annotations
@@ -24,8 +23,7 @@ from dataclasses import dataclass, field
 from .configurations import Configuration, scaled_weight
 from .graphs import Arc, Graph
 
-DEAD_SET_LIMIT = 2_000_000  # memo entries per engine before reset; bounds memory
-RESTRICTED_DFS_BUDGET = 20_000
+DEAD_SET_LIMIT = 2_000_000  # entries per dead set before it is cleared; bounds memory
 
 
 class OracleBudgetError(RuntimeError):
@@ -145,7 +143,6 @@ class FollowerEngine:
         self.dfs_nodes = 0
         self.deadline: float | None = None
         self._dead: dict[int, set] = {}
-        self._cache: dict[tuple, bool] = {}
 
     # ----- cheap sound accepts (True => solvable; False => unknown) -----
 
@@ -206,36 +203,13 @@ class FollowerEngine:
             stacks = [stacks[k] for k in range(len(stacks)) if k not in (i, j)]
             stacks.append([w, m])
 
-    def _accept_down_dfs(self, q0, goal, budget=RESTRICTED_DFS_BUDGET) -> bool:
-        """Search distance-decreasing moves only, node-capped; finds most witnesses."""
-        r = self.r
-        q = list(q0)
-        seen = set()
-        count = 0
-
-        def rec() -> bool:
-            nonlocal count
-            if count > budget:
-                return False
-            key = self._key(q)
-            if key in seen:
-                return False
-            seen.add(key)
-            count += 1
-            for u in range(self.n):
-                if q[u] < 2 or u == r:
-                    continue
-                for w in self.down_moves[u]:
-                    q[u] -= 2
-                    q[w] += 1
-                    ok = q[r] >= goal or rec()
-                    q[u] += 2
-                    q[w] -= 1
-                    if ok:
-                        return True
-            return False
-
-        return q[r] >= goal or rec()
+    def _accepts(self, q, goal) -> bool:
+        """Layers 1-2 in cost order; True means solvable."""
+        return (
+            self._accept_floors(q, goal)
+            or self._accept_collapse(q, goal)
+            or self._accept_merge(q, goal)
+        )
 
     # ----- exact layer -----
 
@@ -287,30 +261,13 @@ class FollowerEngine:
             return True
         q = list(counts)
         goal = q[self.r] + t
-        if q[self.r] >= goal:
-            return True
         W = sum(c * self.wt[v] for v, c in enumerate(q) if c)
         if W < goal * self.scale:
             return False
-        if self._accept_floors(q, goal):
+        if self._accepts(q, goal):
             return True
-        key = (self._key(q), goal)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        res = (
-            self._accept_collapse(q, goal)
-            or self._accept_merge(q, goal)
-            or self._accept_down_dfs(q, goal)
-        )
-        if not res:
-            dead = self._dead.setdefault(goal, set())
-            _raise_recursion_limit(sum(q))
-            res = self._dfs(q, W, goal, dead, [])
-        if len(self._cache) > DEAD_SET_LIMIT:
-            self._cache.clear()
-        self._cache[key] = res
-        return res
+        _raise_recursion_limit(sum(q))
+        return self._dfs(q, W, goal, self._dead.setdefault(goal, set()), [])
 
     def decide_cheap(self, counts, t: int = 1) -> bool:
         """Sound accept-only check: True means solvable, False means unknown."""
@@ -320,13 +277,7 @@ class FollowerEngine:
         q = list(counts)
         goal = q[self.r] + t
         W = sum(c * self.wt[v] for v, c in enumerate(q) if c)
-        if W < goal * self.scale:
-            return False
-        return (
-            self._accept_floors(q, goal)
-            or self._accept_collapse(q, goal)
-            or self._accept_merge(q, goal)
-        )
+        return W >= goal * self.scale and self._accepts(q, goal)
 
     def trace(self, counts, t: int = 1) -> list[Arc] | None:
         """Exact search returning a legal move sequence with t arrivals, or None."""
@@ -352,7 +303,7 @@ _ENGINES: dict[tuple[int, int], FollowerEngine] = {}
 
 
 def engine_for(g: Graph, r: int) -> FollowerEngine:
-    """Shared per-(graph, root) engine so memo tables persist across calls."""
+    """Shared per-(graph, root) engine so dead sets persist across calls."""
     key = (id(g), r)
     eng = _ENGINES.get(key)
     if eng is None:

@@ -12,8 +12,7 @@ per-vertex solvability caps (2^dist - 1), and prunes with:
     threshold where the cheap accepts prove two stacks solvable; placed
     stacks then cap every remaining vertex by table lookup,
   - capacity windows over remaining vertices, further tightened by what the
-    placed prefix can deliver onto each remaining vertex,
-  - a minimum-completion-weight fast accept (weight < 1 is a witness),
+    two largest placed stacks can merge onto each remaining vertex,
   - learned dominance cores: solvable configurations pruning their entire
     pointwise up-set (supersets of solvable configurations are solvable).
 """
@@ -163,14 +162,9 @@ class _Search:
                 return True
         return False
 
-    def add_core(self, entries: dict[int, int]):
-        """Record a solvable configuration; its up-set can never hold a witness."""
-        core = {v: a for v, a in entries.items() if a > 0}
-        if core and len(self.cores) < CORE_LIMIT:
-            self.cores.append(tuple(sorted(core.items(), key=lambda t: -t[1])))
-
     def learn_core(self, items):
-        """Pointwise-minimize a solvable configuration under the cheap accepts."""
+        """Record a solvable configuration, pointwise-minimized under the cheap
+        accepts; its up-set can never hold a witness."""
         if len(self.cores) >= CORE_LIMIT:
             return
         core = dict(items)
@@ -188,7 +182,9 @@ class _Search:
                     lo = mid + 1
             core[v] = lo
             probe[v] = lo
-        self.add_core(core)
+        core = {v: a for v, a in core.items() if a > 0}
+        if core:
+            self.cores.append(tuple(sorted(core.items(), key=lambda t: -t[1])))
 
     def find_witness(self, m: int) -> dict[int, int] | None:
         """Exhaustive-up-to-sound-prunes search for an unsolvable size-m config."""
@@ -221,11 +217,8 @@ class _Search:
             for j in range(i, s):
                 c = caps[j]
                 vj = sup[j]
-                for p, u, y in items:
+                for p, _, y in items:
                     b = pair[p][j][y] - 1
-                    if b < c:
-                        c = b
-                    b = caps[j] - (y >> D[u][vj])
                     if b < c:
                         c = b
                 if u1 is not None:
@@ -243,46 +236,9 @@ class _Search:
             total = sum(tcaps)
             if rem > total:
                 return None
-            # cheapest-possible completion weight; below 1 it is a witness
-            order = sorted(range(len(tcaps)), key=lambda j: wt[sup[i + j]])
-            min_w, left = 0, rem
-            for j in order:
-                take = min(tcaps[j], left)
-                min_w += take * wt[sup[i + j]]
-                left -= take
-                if not left:
-                    break
-            if W + min_w < scale:
-                found = {v: y for _, v, y in items}
-                left = rem
-                for j in order:
-                    take = min(tcaps[j], left)
-                    if take:
-                        found[sup[i + j]] = take
-                    left -= take
-                    if not left:
-                        break
-                return found
             v = sup[i]
             hi = min(tcaps[0], rem)
             lo = max(0, rem - (total - tcaps[0]))
-            if u1 is not None and len(items) == 2 and i <= 3 and hi >= max(lo, 1):
-                # placing the third stack: one binary search over the cheap
-                # frontier shrinks the window and records the edge as a core
-                ylo, yhi = max(lo, 1), hi + 1
-                while ylo < yhi:
-                    mid = (ylo + yhi) // 2
-                    q[v] = mid
-                    if eng.decide_cheap(q):
-                        yhi = mid
-                    else:
-                        ylo = mid + 1
-                q[v] = 0
-                if yhi <= hi:
-                    entry = {u: y for _, u, y in items}
-                    entry[v] = yhi
-                    self.add_core(entry)
-                    hi = yhi - 1
             for y in range(hi, lo - 1, -1):
                 q[v] = y
                 if y and self.cores and self.dominates_core(q):

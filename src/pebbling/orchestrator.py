@@ -168,33 +168,57 @@ def load_plan(path: str) -> JobPlan:
 
 
 def load_records(path: str) -> list[ResultRecord]:
-    """Read a result log, ignoring a torn trailing line from a killed writer."""
+    """Read a result log, ignoring a torn trailing line from a killed writer.
+
+    A torn line is the unterminated last one; any other line that does not
+    decode raises ValueError naming the file and line, so a damaged log is
+    never read as a shorter one.
+    """
     records = []
     if not os.path.exists(path):
         return records
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
                 continue
             try:
-                raw = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            records.append(
-                ResultRecord(
-                    key=raw["key"],
-                    root=raw["root"],
-                    support=tuple(raw["support"]),
-                    status=raw["status"],
-                    value=raw["value"],
-                    elapsed_s=raw["elapsed_s"],
-                    nodes=raw["nodes"],
-                    sense=raw["sense"],
-                    retried=raw["retried"],
-                )
-            )
+                records.append(_decode(line))
+            except (ValueError, KeyError, TypeError):
+                if line.endswith("\n"):
+                    raise ValueError(f"{path}:{lineno}: damaged record") from None
     return records
+
+
+def _decode(line: str) -> ResultRecord:
+    raw = json.loads(line)
+    return ResultRecord(
+        key=raw["key"],
+        root=raw["root"],
+        support=tuple(raw["support"]),
+        status=raw["status"],
+        value=raw["value"],
+        elapsed_s=raw["elapsed_s"],
+        nodes=raw["nodes"],
+        sense=raw["sense"],
+        retried=raw["retried"],
+    )
+
+
+def _seal_tail(path: str):
+    """End the log on a complete line before appending: a torn final line left
+    by a writer killed mid-append is cut off, a whole unterminated record kept."""
+    if not os.path.exists(path):
+        return
+    with open(path, "rb+") as fh:
+        data = fh.read()
+        if data and not data.endswith(b"\n"):
+            start = data.rfind(b"\n") + 1
+            try:
+                _decode(data[start:].decode())
+            except (ValueError, KeyError, TypeError):
+                fh.truncate(start)
+            else:
+                fh.write(b"\n")
 
 
 def final_records(records) -> dict[str, ResultRecord]:
@@ -239,16 +263,8 @@ def run(
             if _is_settled(rec)
         }
     new_records = []
-    # A writer killed mid-append can leave a torn final line with no newline;
-    # start on a fresh line so the next record is not glued onto the fragment.
-    needs_newline = False
-    if os.path.exists(out_path) and os.path.getsize(out_path) > 0:
-        with open(out_path, "rb") as tail:
-            tail.seek(-1, os.SEEK_END)
-            needs_newline = tail.read(1) != b"\n"
+    _seal_tail(out_path)
     with open(out_path, "a") as fh:
-        if needs_newline:
-            fh.write("\n")
         for inst in todo:
             if inst.key in done:
                 continue

@@ -189,9 +189,9 @@ def support_class_reps(
     group = group or automorphisms(g)
     others = [v for v in range(g.n) if v != r]
     reps = _canonical_subsets(stabilizer(group, r), others, k)
-    if g.n <= 64:
-        bits = np.uint64(1) << reps.astype(np.uint64)
-        reps = reps[_scrambled_order(np.bitwise_or.reduce(bits, axis=1))]
+    # vertex v sets bit v mod 64, so the scramble key fits one word for any n
+    bits = np.uint64(1) << (reps & 63).astype(np.uint64)
+    reps = reps[_scrambled_order(np.bitwise_or.reduce(bits, axis=1))]
     reps = [tuple(row) for row in reps.tolist()]
     return SupportClasses(root=r, k=k, reps=reps, class_count=len(reps))
 
@@ -206,9 +206,10 @@ def subset_orbit_reps(g: Graph, k: int, group: AutGroup | None = None) -> list[t
 def _canonical_subsets(perms, others, k) -> np.ndarray:
     """The k-subsets of sorted `others` that are their own canonical form.
 
-    Every permutation in `perms` must map `others` onto itself.  Rows start as every k-subset in lexicographic order; each permutation
-    drops the rows whose sorted image is lexicographically smaller, so the
-    survivors are the lex-minimal forms, still in lexicographic order.
+    Every permutation in `perms` must map `others` onto itself.  Rows start
+    as every k-subset in lexicographic order; each permutation drops the rows
+    whose sorted image is lexicographically smaller, so the survivors are the
+    lex-minimal forms, still in lexicographic order.
     """
     count = math.comb(len(others), k)
     rows = np.fromiter(

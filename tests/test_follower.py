@@ -194,3 +194,45 @@ def test_decide_multi_target():
     assert eng.decide([0, 8], 4)
     assert not eng.decide([0, 8], 5)
     assert eng.decide([0, 8], 0)
+
+
+def _near_frontier_cases(rng, count):
+    """Random 6-8 vertex graphs, 10-16 pebbles on 4 vertices, weight just past 1 or 2."""
+    cases = []
+    while len(cases) < count:
+        n = rng.randint(6, 8)
+        # a tree of short back-links keeps the graph connected and long
+        edges = {(rng.randint(max(0, i - 2), i - 1), i) for i in range(1, n)}
+        for _ in range(rng.randint(1, 3)):
+            u, v = rng.sample(range(n), 2)
+            edges.add((min(u, v), max(u, v)))
+        g = Graph(n, sorted(edges))
+        d = g.distance_table[0]
+        support = rng.sample(range(1, n), 4)
+        counts = [0] * n
+        for _ in range(rng.randint(10, 16)):
+            counts[rng.choice(support)] += 1
+        weight = sum(c / (1 << d[v]) for v, c in enumerate(counts))
+        if 1 <= weight <= 1.6 or 2 <= weight <= 2.6:
+            cases.append((g, Configuration(counts)))
+    return cases
+
+
+def test_engine_matches_oracle_near_the_weight_frontier():
+    # the exact DFS must settle every call the cheap accepts leave open
+    settled = 0
+    for g, p in _near_frontier_cases(random.Random(3), 400):
+        best = bfs_oracle(g, p, 0)
+        res = max_deliverable(g, p, 0)
+        assert res.delivered == best
+        cur = p
+        for a in res.moves:
+            cur = apply_move(cur, a)
+        assert cur[0] - p[0] == best
+        # a fresh engine, larger goal first: dead sets must not leak across goals
+        eng = FollowerEngine(g, 0)
+        for t in (2, 1):
+            nodes = eng.dfs_nodes
+            assert eng.decide(p.counts, t) == (best >= t)
+            settled += best >= t and eng.dfs_nodes > nodes
+    assert settled >= 10

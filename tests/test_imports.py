@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pebbling
@@ -18,6 +19,45 @@ def _unused_imports(source: str) -> list[str]:
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def _references(tree) -> list[str]:
+    return [
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        or isinstance(node, ast.Attribute)
+    ]
+
+
+def _unreferenced_internals(sources: dict[str, str]) -> list[str]:
+    """Private defs and UPPERCASE module constants no other code refers to.
+
+    A function's or class's references to itself do not count, so a helper
+    that only recurses into itself is reported too.
+    """
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    everywhere = Counter(ref for tree in trees.values() for ref in _references(tree))
+    unused = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                name = node.name
+                private = name.startswith("_") and not name.endswith("__")
+                if private and everywhere[name] == _references(node).count(name):
+                    unused.append(f"{module}: {name}")
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                if isinstance(target, ast.Name) and target.id.isupper():
+                    if not everywhere[target.id]:
+                        unused.append(f"{module}: {target.id}")
+    return unused
 
 
 def test_unused_import_detector_flags_only_unused_names():
@@ -40,3 +80,27 @@ def test_package_modules_import_only_names_they_use():
         and (names := _unused_imports(path.read_text(encoding="utf-8")))
     }
     assert unused == {}
+
+
+def test_unreferenced_internals_detector():
+    sources = {
+        "a.py": (
+            "LIMIT = 3\n"
+            "UNUSED = 4\n"
+            "def _used():\n    return LIMIT\n"
+            "def _recurses(n):\n    return _recurses(n - 1)\n"
+            "class _Box:\n    def _method(self):\n        return self._method()\n"
+        ),
+        "b.py": "from a import _used\nprint(_used(), _Box)\n",
+    }
+    assert _unreferenced_internals(sources) == [
+        "a.py: _recurses",
+        "a.py: _method",
+        "a.py: UNUSED",
+    ]
+
+
+def test_package_internals_are_all_referenced():
+    package = Path(pebbling.__file__).parent
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))}
+    assert _unreferenced_internals(sources) == []

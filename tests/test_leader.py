@@ -160,7 +160,9 @@ def test_pi_support_monotone_in_support():
 
 
 def test_max_unsolvable_agrees_with_exhaustive_small():
-    # every connected 4-vertex graph, every root, every support of size <= 2
+    # every connected 4-vertex graph, every root, every support of size <= 2;
+    # then 6-vertex graphs with supports of size 3-4, where pair frontiers,
+    # the two-stack merge tightening and dominance cores interact
     edges4 = [
         [(0, 1), (1, 2), (2, 3)],
         [(0, 1), (1, 2), (2, 3), (3, 0)],
@@ -168,14 +170,22 @@ def test_max_unsolvable_agrees_with_exhaustive_small():
         [(0, 1), (0, 2), (0, 3)],
         [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],
     ]
+    edges6 = [
+        [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)],
+        [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5)],
+        [(0, 1), (1, 2), (1, 3), (3, 4), (3, 5)],
+        [(0, 1), (1, 2), (1, 3), (2, 3), (2, 4), (4, 5)],
+    ]
     from pebbling.graphs import Graph
 
-    for edges in edges4:
-        g = Graph(4, edges)
-        for r in range(4):
+    cases = [(4, edges, (1, 2)) for edges in edges4]
+    cases += [(6, edges, (3, 4)) for edges in edges6]
+    for n, edges, sizes in cases:
+        g = Graph(n, edges)
+        for r in range(n):
             eng = engine_for(g, r)
-            others = [v for v in range(4) if v != r]
-            for k in (1, 2):
+            others = [v for v in range(n) if v != r]
+            for k in sizes:
                 for support in combinations(others, k):
                     best = None
                     caps = [(1 << g.distance_table[r][v]) for v in support]
@@ -183,7 +193,7 @@ def test_max_unsolvable_agrees_with_exhaustive_small():
                         m = sum(counts)
                         if m == 0:
                             continue
-                        q = [0] * 4
+                        q = [0] * n
                         for v, c in zip(support, counts):
                             q[v] = c
                         if not eng.decide(q):

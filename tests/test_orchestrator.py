@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 import pytest
 
+from pebbling.cli import main
 from pebbling.graphs import catalog
 from pebbling.orchestrator import (
     JobPlan,
@@ -157,6 +159,17 @@ def test_torn_trailing_line_ignored(tmp_path):
     assert records[0].support == (1,)
 
 
+def test_damaged_line_before_more_records_raises(tmp_path, capsys):
+    out = tmp_path / "log.jsonl"
+    lines = [json.dumps(asdict(_record(key))) for key in ("k1", "k2", "k3")]
+    lines[1] = lines[1][: len(lines[1]) // 2]
+    out.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"log\.jsonl:2: damaged"):
+        load_records(str(out))
+    assert main(["report", "--in", str(out)]) == 2
+    assert "log.jsonl:2" in capsys.readouterr().err
+
+
 def test_resume_after_torn_line_redoes_instance(tmp_path):
     g = catalog("path:3")
     p = plan(g, 1, 1, 1, None, workers=1, graph_spec="path:3")
@@ -169,7 +182,9 @@ def test_resume_after_torn_line_redoes_instance(tmp_path):
     before = len(load_records(str(out)))
     redo = run(p, None, str(out), graph=g)
     assert len(redo) == 1
+    # the fragment was cut off, so the grown log still loads in full
     assert len(load_records(str(out))) == before + 1
+    assert len(out.read_text().splitlines()) == before + 1
 
 
 def test_timeout_retries_with_opposite_sense(tmp_path):

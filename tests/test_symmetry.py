@@ -146,6 +146,9 @@ def test_support_classes_cover_every_subset_on_small_graphs():
                 canon = [min(p.apply_set(rep) for p in stab) for rep in classes.reps]
                 assert canon == classes.reps
                 assert len(set(canon)) == classes.class_count
+    # the pseudorandom emission order holds past 64 vertices too
+    reps = support_class_reps(catalog("path:70"), 0, 2).reps
+    assert reps != sorted(reps)
 
 
 def test_support_classes_k_range_validated():
