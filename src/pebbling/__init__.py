@@ -14,19 +14,7 @@ from .follower import (
     order_moves,
     purify_flow,
 )
-from .graphs import (
-    Arc,
-    DistanceTable,
-    Graph,
-    arcs,
-    cartesian_product,
-    catalog,
-    distances,
-    from_edge_list,
-    in_arcs,
-    load_edge_list,
-    out_arcs,
-)
+from .graphs import Arc, DistanceTable, Graph, cartesian_product, catalog, load_edge_list
 from .leader import BilevelInstance, BilevelOutcome, max_unsolvable, pi_support
 from .pipeline import (
     GrahamReport,

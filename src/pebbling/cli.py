@@ -300,6 +300,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except TimeoutError:
+        print("status TimedOut")
+        return 0
 
 
 if __name__ == "__main__":

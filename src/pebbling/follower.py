@@ -11,12 +11,17 @@ Layered decision procedure, sound at every layer:
      per-goal dead set of residual configurations known to fail; it returns
      the winning move path, which is the certificate of every delivered count.
 Layers 1-2 only ever claim "solvable"; layer 3 is complete.
+
+One engine per (graph, root) lives as long as its graph and shares its dead
+sets across calls; a deadline belongs to one call.  The flow helpers and
+bfs_oracle are reference checkers that re-verify answers independently.
 """
 
 from __future__ import annotations
 
 import sys
 import time
+import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -111,10 +116,9 @@ def _find_cycle(multiplicity) -> list[Arc] | None:
 
 @dataclass
 class DeliveryResult:
-    """Optimal delivered count with a realizing flow and move order."""
+    """Optimal delivered count with a legal move sequence that realizes it."""
 
     delivered: int
-    flow: FlowVector
     moves: list[Arc]
 
 
@@ -124,7 +128,6 @@ class FollowerEngine:
     def __init__(self, g: Graph, r: int):
         if not 0 <= r < g.n:
             raise ValueError(f"root {r} out of range")
-        self.g = g
         self.r = r
         self.n = g.n
         self.D = g.distance_table.dist
@@ -141,7 +144,6 @@ class FollowerEngine:
         ]
         self.calls = 0
         self.dfs_nodes = 0
-        self.deadline: float | None = None
         self._dead: dict[int, set] = {}
 
     # ----- cheap sound accepts (True => solvable; False => unknown) -----
@@ -216,18 +218,19 @@ class FollowerEngine:
     def _key(self, q):
         return bytes(q) if max(q) < 256 else tuple(q)
 
-    def _dfs(self, q, W, goal, dead, path) -> bool:
+    def _dfs(self, q, W, goal, dead, path, deadline) -> bool:
         """Complete search over weight-feasible moves; q mutated in place.
 
         On success the winning moves are appended to path as the recursion
-        unwinds, so path holds them last move first.
+        unwinds, so path holds them last move first.  A deadline (monotonic
+        seconds, or None) is polled every 4096 nodes.
         """
         key = self._key(q)
         if key in dead:
             return False
         self.dfs_nodes += 1
-        if self.deadline is not None and self.dfs_nodes % 4096 == 0:
-            if time.monotonic() > self.deadline:
+        if deadline is not None and self.dfs_nodes % 4096 == 0:
+            if time.monotonic() > deadline:
                 raise TimeoutError("follower deadline elapsed")
         r, wt, target = self.r, self.wt, goal * self.scale
         for u in range(self.n):
@@ -243,7 +246,7 @@ class FollowerEngine:
                     return True
                 q[u] -= 2
                 q[w] += 1
-                ok = self._dfs(q, nW, goal, dead, path)
+                ok = self._dfs(q, nW, goal, dead, path, deadline)
                 q[u] += 2
                 q[w] -= 1
                 if ok:
@@ -254,8 +257,12 @@ class FollowerEngine:
         dead.add(key)
         return False
 
-    def decide(self, counts, t: int = 1) -> bool:
-        """Exact: can t pebbles arrive at r (on top of any already there)?"""
+    def decide(self, counts, t: int = 1, deadline: float | None = None) -> bool:
+        """Exact: can t pebbles arrive at r (on top of any already there)?
+
+        Raises TimeoutError when the search polls the monotonic clock past
+        deadline; the dead set keeps only configurations whose search finished.
+        """
         self.calls += 1
         if t <= 0:
             return True
@@ -267,7 +274,7 @@ class FollowerEngine:
         if self._accepts(q, goal):
             return True
         _raise_recursion_limit(sum(q))
-        return self._dfs(q, W, goal, self._dead.setdefault(goal, set()), [])
+        return self._dfs(q, W, goal, self._dead.setdefault(goal, set()), [], deadline)
 
     def decide_cheap(self, counts, t: int = 1) -> bool:
         """Sound accept-only check: True means solvable, False means unknown."""
@@ -290,7 +297,7 @@ class FollowerEngine:
             return None
         _raise_recursion_limit(sum(q))
         path: list[Arc] = []
-        return path[::-1] if self._dfs(q, W, goal, set(), path) else None
+        return path[::-1] if self._dfs(q, W, goal, set(), path, None) else None
 
 
 def _raise_recursion_limit(size: int):
@@ -299,19 +306,16 @@ def _raise_recursion_limit(size: int):
         sys.setrecursionlimit(need)
 
 
-_ENGINES: dict[tuple[int, int], FollowerEngine] = {}
+_ENGINES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # graph -> {root: engine}
 
 
 def engine_for(g: Graph, r: int) -> FollowerEngine:
-    """Shared per-(graph, root) engine so dead sets persist across calls."""
-    key = (id(g), r)
-    eng = _ENGINES.get(key)
+    """The engine of (g, r): the same one while g lives, so dead sets persist
+    across calls, and freed with g."""
+    engines = _ENGINES.setdefault(g, {})
+    eng = engines.get(r)
     if eng is None:
-        eng = _ENGINES[key] = FollowerEngine(g, r)
-        if len(_ENGINES) > 512:
-            stale = next(iter(_ENGINES))
-            if stale != key:
-                del _ENGINES[stale]
+        eng = engines[r] = FollowerEngine(g, r)
     return eng
 
 
@@ -323,7 +327,7 @@ def is_solvable(g: Graph, p: Configuration, r: int) -> bool:
 
 
 def max_deliverable(g: Graph, p: Configuration, r: int) -> DeliveryResult:
-    """Optimal number of pebbles movable into r, with flow and move certificate."""
+    """Optimal number of pebbles movable into r, with a move certificate."""
     eng = engine_for(g, r)
     best = 0
     scaled, scale = scaled_weight(p, r, g.distance_table)
@@ -333,8 +337,7 @@ def max_deliverable(g: Graph, p: Configuration, r: int) -> DeliveryResult:
     moves = eng.trace(p.counts, best)
     if moves is None:
         raise AssertionError("trace failed for a decided delivery, engine bug")
-    flow = FlowVector(dict(Counter(moves)))
-    return DeliveryResult(delivered=best, flow=flow, moves=moves)
+    return DeliveryResult(delivered=best, moves=moves)
 
 
 def balance_check(d: MoveMultigraph, p: Configuration) -> bool:

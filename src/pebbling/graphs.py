@@ -1,4 +1,4 @@
-"""Immutable simple connected graphs: generators, products, arcs, distances.
+"""Immutable simple connected graphs: generators, products, distances.
 
 Vertices are integers 0..n-1.  Every graph is validated at construction
 (no loops, no duplicates, connected) and carries an eagerly computed
@@ -29,12 +29,6 @@ class DistanceTable:
     def __getitem__(self, v: int) -> tuple[int, ...]:
         return self.dist[v]
 
-    def between(self, u: int, v: int) -> int:
-        return self.dist[u][v]
-
-    def eccentricity(self, v: int) -> int:
-        return max(self.dist[v])
-
 
 class Graph:
     """Simple connected undirected graph with precomputed adjacency and distances."""
@@ -57,11 +51,6 @@ class Graph:
         self.adjacency = tuple(tuple(sorted(ns)) for ns in adj)
         self.distance_table = _bfs_all_pairs(self.n, self.adjacency)
         self._check_connected()
-        self._arcs = tuple(
-            Arc(t, h) for t, h in sorted(
-                [(u, v) for u, v in self.edges] + [(v, u) for u, v in self.edges]
-            )
-        )
 
     def _check_connected(self):
         if any(d < 0 for row in self.distance_table.dist for d in row):
@@ -91,32 +80,6 @@ def _bfs_all_pairs(n: int, adjacency) -> DistanceTable:
                     queue.append(w)
         rows.append(tuple(dist))
     return DistanceTable(tuple(rows))
-
-
-def from_edge_list(n: int, pairs: Iterable[tuple[int, int]], name: str | None = None) -> Graph:
-    """Build a graph from explicit edges; raises on loops, range errors, disconnection."""
-    return Graph(n, pairs, name)
-
-
-def distances(g: Graph) -> DistanceTable:
-    return g.distance_table
-
-
-def arcs(g: Graph) -> tuple[Arc, ...]:
-    """Both orientations of every edge, sorted; len = 2|E|."""
-    return g._arcs
-
-
-def in_arcs(g: Graph, v: int) -> tuple[Arc, ...]:
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range")
-    return tuple(a for a in g._arcs if a.head == v)
-
-
-def out_arcs(g: Graph, v: int) -> tuple[Arc, ...]:
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range")
-    return tuple(a for a in g._arcs if a.tail == v)
 
 
 # The 8-vertex Lemke graph, 0-indexed edges.

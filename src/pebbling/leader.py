@@ -90,23 +90,10 @@ class _Search:
         self.deadline = (
             time.monotonic() + inst.time_cap if inst.time_cap is not None else None
         )
-        self.eng.deadline = self.deadline
-        self._last_nodes = 0
-        self._last_calls = self.eng.calls
         self.pair = self._pair_frontiers()
 
     def check_time(self):
-        # polled on node and follower-call counters for bounded-latency cancel
-        if self.deadline is None:
-            return
-        if (
-            self.nodes - self._last_nodes < 2048
-            and self.eng.calls - self._last_calls < 1024
-        ):
-            return
-        self._last_nodes = self.nodes
-        self._last_calls = self.eng.calls
-        if time.monotonic() > self.deadline:
+        if self.deadline is not None and time.monotonic() > self.deadline:
             raise TimeoutError("leader time cap elapsed")
 
     def _pair_frontiers(self):
@@ -203,7 +190,7 @@ class _Search:
                     return {v: y for _, v, y in items}
                 if self.cores and self.dominates_core(q):
                     return None
-                if eng.decide(q):
+                if eng.decide(q, 1, self.deadline):
                     self.learn_core([(v, y) for _, v, y in items])
                     return None
                 return {v: y for _, v, y in items}
@@ -275,8 +262,7 @@ def max_unsolvable(inst: BilevelInstance) -> BilevelOutcome:
             nodes=nodes + (eng.calls - calls0),
         )
 
-    # building the search already probes pair frontiers under the cap, and the
-    # engine is shared, so its deadline is cleared however the search ends
+    # building the search already probes pair frontiers under the cap
     try:
         search = _Search(inst)
         lower = inst.lower
@@ -309,8 +295,6 @@ def max_unsolvable(inst: BilevelInstance) -> BilevelOutcome:
                 m += 1
     except TimeoutError:
         return result("TimedOut")
-    finally:
-        eng.deadline = None
 
     witness = Configuration.from_map(inst.graph.n, best)
     if eng.decide(witness.counts):

@@ -48,8 +48,16 @@ def pi_rooted(g: Graph, r: int, time_cap: float | None = None) -> int:
 
 
 def pi(g: Graph, time_cap: float | None = None) -> int:
-    """π(G) as the maximum of π(G, r) over one root per automorphism orbit."""
-    return max(pi_rooted(g, r, time_cap) for r in orbit_representatives(g))
+    """π(G) as the maximum of π(G, r) over one root per automorphism orbit.
+
+    time_cap bounds all roots together; past it, TimeoutError is raised.
+    """
+    deadline = time.monotonic() + time_cap if time_cap is not None else None
+    return max(pi_rooted(g, r, _time_left(deadline)) for r in orbit_representatives(g))
+
+
+def _time_left(deadline: float | None) -> float | None:
+    return None if deadline is None else max(deadline - time.monotonic(), 0.0)
 
 
 def pi_k_upper(
@@ -123,7 +131,7 @@ def two_pebbling_witness(
     Returns None when the graph has the two-pebbling property.
     """
     deadline = time.monotonic() + time_cap if time_cap is not None else None
-    value = pi(g)
+    value = pi(g, _time_left(deadline))
     group = automorphisms(g)
     for s in range(1, g.n + 1):
         size = 2 * value - s + 1
@@ -138,8 +146,7 @@ def two_pebbling_witness(
                 for r in range(g.n):
                     if deadline is not None and time.monotonic() > deadline:
                         raise TimeoutError("two-pebbling search timed out")
-                    eng = engine_for(g, r)
-                    if not eng.decide(p.counts, 2 - p[r]):
+                    if not engine_for(g, r).decide(p.counts, 2 - p[r], deadline):
                         return p, r
     return None
 
@@ -176,7 +183,7 @@ def graham_support_check(
     seed: int = 0,
 ) -> GrahamReport:
     """Check π_k(g □ h) <= π(g)π(h) by requiring Infeasible at L = π(g)π(h)."""
-    pi_g, pi_h = pi(g), pi(h)
+    pi_g, pi_h = pi(g, time_cap), pi(h, time_cap)
     product = cartesian_product(g, h)
     threshold = pi_g * pi_h
     report = pi_k_upper(

@@ -35,7 +35,6 @@ class Permutation:
 
 @dataclass
 class AutGroup:
-    generators: list[Permutation]
     order: int
     elements: list[Permutation]
 
@@ -82,9 +81,6 @@ def automorphisms(g: Graph) -> AutGroup:
             if not seen[w]:
                 seen[w] = True
                 queue.append(w)
-    for v in range(n):  # disconnected never happens, but stay total
-        if not seen[v]:
-            order_of_visit.append(v)
 
     adjacency_sets = [set(ns) for ns in g.adjacency]
     found: list[Permutation] = []
@@ -114,51 +110,14 @@ def automorphisms(g: Graph) -> AutGroup:
                 image[u] = -1
 
     extend(0)
-    generators = _reduce_generators(found) if len(found) <= 5000 else list(found)
-    return AutGroup(generators=generators, order=len(found), elements=found)
-
-
-def _reduce_generators(elements: list[Permutation]) -> list[Permutation]:
-    n = len(elements[0].image)
-    identity = tuple(range(n))
-    closure = {identity}
-    generators: list[Permutation] = []
-    for p in elements:
-        if p.image in closure:
-            continue
-        generators.append(p)
-        frontier = list(closure) + [p.image]
-        closure.add(p.image)
-        while frontier:
-            a = frontier.pop()
-            for q in generators:
-                composed = tuple(a[q.image[i]] for i in range(n))
-                if composed not in closure:
-                    closure.add(composed)
-                    frontier.append(composed)
-    return generators or [Permutation(identity)]
+    return AutGroup(order=len(found), elements=found)
 
 
 def vertex_orbits(g: Graph, group: AutGroup | None = None) -> list[tuple[int, ...]]:
     """Orbits of the automorphism action, each sorted, listed by minimum member."""
     group = group or automorphisms(g)
-    parent = list(range(g.n))
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for p in group.generators:
-        for v in range(g.n):
-            a, b = find(v), find(p.image[v])
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-    buckets: dict[int, list[int]] = {}
-    for v in range(g.n):
-        buckets.setdefault(find(v), []).append(v)
-    return [tuple(sorted(vs)) for _, vs in sorted(buckets.items())]
+    orbits = {tuple(sorted({p.image[v] for p in group.elements})) for v in range(g.n)}
+    return sorted(orbits)
 
 
 def orbit_representatives(g: Graph, group: AutGroup | None = None) -> list[int]:
@@ -216,7 +175,8 @@ def _canonical_subsets(perms, others, k) -> np.ndarray:
         chain.from_iterable(combinations(others, k)), dtype=np.intp, count=count * k
     ).reshape(count, k)
     for p in perms:
-        image = np.sort(np.asarray(p.image, dtype=np.intp)[rows], axis=1)
+        image = np.asarray(p.image, dtype=np.intp)[rows]
+        image.sort(axis=1)
         lower = np.zeros(len(rows), dtype=bool)
         equal = np.ones(len(rows), dtype=bool)
         for j in range(k):

@@ -31,7 +31,7 @@ from pebbling.follower import (
     order_moves,
     purify_flow,
 )
-from pebbling.graphs import Arc, Graph, catalog, distances
+from pebbling.graphs import Arc, Graph, catalog
 from pebbling.leader import BilevelInstance, max_unsolvable, pi_support
 from pebbling.orchestrator import (
     JobPlan,
@@ -296,8 +296,9 @@ def test_flow_oracle_equivalence_suite():
                     p = Configuration(counts)
                     res = max_deliverable(g, p, r)
                     assert res.delivered == bfs_oracle(g, p, r), (g.name, r, counts)
-                    assert flow_is_feasible(g, res.flow, p, r)
-                    assert res.flow.inflow(r) == res.delivered, (g.name, r, counts)
+                    flow = FlowVector(Counter(res.moves))
+                    assert flow_is_feasible(g, flow, p, r)
+                    assert flow.inflow(r) == res.delivered, (g.name, r, counts)
                     q = p
                     for a in res.moves:
                         assert a.tail != r and a.head in g.adjacency[a.tail]
@@ -400,7 +401,7 @@ def test_bilevel_agrees_with_exhaustive_enumeration():
     instances = audits = 0
     for n in range(2, 6):
         for g in _connected_graphs(n):
-            dist = distances(g)
+            dist = g.distance_table
             for r in range(n):
                 eng = engine_for(g, r)
                 assert pi_support(g, r, ()) == 1

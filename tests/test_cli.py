@@ -106,6 +106,13 @@ def test_pi(capsys):
     assert "pi 8" in out
 
 
+def test_expired_time_cap_prints_timed_out(capsys):
+    code, out = run_cli(capsys, "pi", "--graph", "cube:4", "--time-cap", "1e-6")
+    assert (code, out) == (0, "status TimedOut\n")
+    code, out = run_cli(capsys, "twopp", "--graph", "cube:3", "--time-cap", "0.001")
+    assert (code, out) == (0, "status TimedOut\n")
+
+
 def test_pik_class0(capsys):
     code, out = run_cli(capsys, "pik", "--graph", "cube:3", "--k", "4", "--c", "7", "--class0")
     assert code == 0

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import gc
 import random
+import time
+import weakref
+from collections import Counter
 
 import pytest
 
@@ -34,15 +38,14 @@ def test_max_deliverable_path():
     g = catalog("path:3")
     res = max_deliverable(g, Configuration([0, 0, 9]), 0)
     assert res.delivered == 2
-    assert res.flow.inflow(0) == 2
-    assert len(res.moves) == res.flow.total()
+    assert FlowVector(Counter(res.moves)).inflow(0) == 2
 
 
 def test_max_deliverable_counts_arrivals_not_root_stock():
     g = catalog("path:2")
     res = max_deliverable(g, Configuration([3, 5], ), 0)
     assert res.delivered == 2  # arrivals only; the 3 already on r do not count
-    assert res.flow.outflow(0) == 0
+    assert FlowVector(Counter(res.moves)).outflow(0) == 0
 
 
 def test_max_deliverable_never_moves_out_of_root():
@@ -72,10 +75,10 @@ def test_delivery_result_replays_legally():
     for a in res.moves:
         cur = apply_move(cur, a)  # raises if any move is illegal
     assert cur[0] - p[0] == res.delivered
-    assert res.flow.total() == len(res.moves)
-    assert res.flow.total() <= p.size()
-    assert flow_is_feasible(g, res.flow, p, 0)
-    assert res.flow.inflow(0) == res.delivered
+    flow = FlowVector(Counter(res.moves))
+    assert flow.total() == len(res.moves) <= p.size()
+    assert flow_is_feasible(g, flow, p, 0)
+    assert flow.inflow(0) == res.delivered
 
 
 def test_decide_monotone_in_pebbles():
@@ -186,6 +189,28 @@ def test_engine_for_caches_per_graph_and_root():
     g = catalog("path:3")
     assert engine_for(g, 0) is engine_for(g, 0)
     assert engine_for(g, 0) is not engine_for(g, 1)
+
+
+def test_engines_are_freed_with_their_graph():
+    g = catalog("cube:3")
+    alive = weakref.ref(g)
+    max_deliverable(g, Configuration([0, 3, 2, 0, 5, 0, 1, 6]), 0)
+    engine_for(g, 5)
+    del g
+    gc.collect()
+    assert alive() is None
+
+
+def test_expired_deadline_leaves_no_state_behind():
+    # a configuration that needs thousands of DFS nodes on a fresh engine
+    g = catalog("product:lemke1,lemke1")
+    q = [0] * g.n
+    q[28], q[39], q[52] = 11, 9, 16
+    eng = FollowerEngine(g, 9)
+    with pytest.raises(TimeoutError):
+        eng.decide(q, 1, deadline=time.monotonic() - 1)
+    assert eng.decide(q, 1) is True
+    assert FollowerEngine(g, 9).decide(q, 1) is True
 
 
 def test_decide_multi_target():

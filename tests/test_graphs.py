@@ -5,16 +5,10 @@ import itertools
 import pytest
 
 from pebbling.graphs import (
-    Arc,
     Graph,
-    arcs,
     cartesian_product,
     catalog,
-    distances,
-    from_edge_list,
-    in_arcs,
     load_edge_list,
-    out_arcs,
     parse_graph_spec,
 )
 
@@ -80,8 +74,8 @@ def test_lemke1_shape():
     assert len(g.edges) == 13
     assert [g.degree(v) for v in range(8)] == [2, 2, 4, 3, 4, 3, 5, 3]
     d = g.distance_table
-    assert d.eccentricity(0) == 2
-    assert max(d.eccentricity(v) for v in range(8)) == 3
+    assert max(d[0]) == 2
+    assert max(max(d[v]) for v in range(8)) == 3
 
 
 def test_product_of_paths_is_cycle_like_grid():
@@ -107,25 +101,6 @@ def test_lemke_product_edge_count():
     assert g.has_edge(i * 8 + j, u * 8 + j) == catalog("lemke1").has_edge(i, u)
 
 
-def test_arcs_both_orientations():
-    g = catalog("complete:3")
-    assert len(arcs(g)) == 6
-    assert Arc(0, 1) in arcs(g) and Arc(1, 0) in arcs(g)
-    p3 = catalog("path:3")
-    assert in_arcs(p3, 1) == (Arc(0, 1), Arc(2, 1))
-    assert out_arcs(p3, 1) == (Arc(1, 0), Arc(1, 2))
-    assert len(in_arcs(catalog("lemke1"), 7)) == 3
-    assert len(in_arcs(catalog("lemke1"), 6)) == 5
-
-
-def test_arc_vertex_range_checked():
-    g = catalog("path:3")
-    with pytest.raises(ValueError):
-        in_arcs(g, 3)
-    with pytest.raises(ValueError):
-        out_arcs(g, -1)
-
-
 def _dist_exhaustive(g: Graph, u: int, v: int) -> int:
     # shortest path by brute force over all simple paths
     best = None
@@ -145,10 +120,10 @@ def test_distances_match_exhaustive_on_small_graphs():
         g = catalog(spec)
         if g.n > 6:
             continue
-        d = distances(g)
+        d = g.distance_table
         for u in range(g.n):
             for v in range(g.n):
-                assert d.between(u, v) == _dist_exhaustive(g, u, v)
+                assert d[u][v] == _dist_exhaustive(g, u, v)
 
 
 def test_distance_table_triangle_inequality():
@@ -157,9 +132,9 @@ def test_distance_table_triangle_inequality():
     for u in range(8):
         for v in range(8):
             for w in range(8):
-                assert d.between(u, v) <= d.between(u, w) + d.between(w, v)
-            assert d.between(u, v) == d.between(v, u)
-        assert d.between(u, u) == 0
+                assert d[u][v] <= d[u][w] + d[w][v]
+            assert d[u][v] == d[v][u]
+        assert d[u][u] == 0
 
 
 def test_edge_list_roundtrip(tmp_path):
@@ -197,6 +172,6 @@ def test_parse_graph_spec_catalog_and_file(tmp_path):
 
 
 def test_from_edge_list_names():
-    g = from_edge_list(2, [(0, 1)], name="pair")
+    g = Graph(2, [(0, 1)], name="pair")
     assert g.name == "pair"
-    assert "2v" in from_edge_list(2, [(0, 1)]).name
+    assert "2v" in Graph(2, [(0, 1)]).name

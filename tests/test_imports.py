@@ -60,6 +60,35 @@ def _unreferenced_internals(sources: dict[str, str]) -> list[str]:
     return unused
 
 
+def _unreferenced_publics(package: dict[str, str], users: dict[str, str]) -> list[str]:
+    """Public top-level functions and classes of `package` that no code refers to.
+
+    A reference counts from any package module but `__init__.py` (re-exports
+    do not count) or from any module in `users`, including the names in
+    `from ... import` lines; a def's references to itself do not count.
+    """
+    trees = {name: ast.parse(source) for name, source in {**package, **users}.items()}
+    everywhere = Counter()
+    for name, tree in trees.items():
+        if name != "__init__.py":
+            everywhere.update(_references(tree))
+            everywhere.update(
+                alias.name
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                for alias in node.names
+            )
+    return [
+        f"{module}: {node.name}"
+        for module in package
+        if module != "__init__.py"
+        for node in trees[module].body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and everywhere[node.name] == _references(node).count(node.name)
+    ]
+
+
 def test_unused_import_detector_flags_only_unused_names():
     source = (
         "from __future__ import annotations\n"
@@ -104,3 +133,38 @@ def test_package_internals_are_all_referenced():
     package = Path(pebbling.__file__).parent
     sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))}
     assert _unreferenced_internals(sources) == []
+
+
+def test_unreferenced_publics_detector():
+    package = {
+        "__init__.py": "from .a import exported\n",
+        "a.py": "def exported():\n    return exported()\ndef helper():\n    pass\n",
+        "b.py": "from .a import helper\nclass Used:\n    pass\nclass Unused:\n    pass\n",
+    }
+    users = {"bench.py": "import b\nb.Used()\n"}
+    assert _unreferenced_publics(package, users) == ["a.py: exported", "b.py: Unused"]
+
+
+# The reference checkers: the tests compare the engine against them, and no
+# program path calls them yet.
+REFERENCE_CHECKERS = {
+    "apply_move": "replays move certificates one legal move at a time",
+    "is_solvable": "asks the yes/no question of a Configuration; tests check decide with it",
+    "order_moves": "turns a balanced acyclic flow into a legal move order",
+    "purify_flow": "cancels flow cycles, so a flow certificate can be ordered",
+    "flow_is_feasible": "checks a flow certificate's balance independently of the search",
+}
+
+
+def test_package_public_names_are_all_referenced():
+    package = Path(pebbling.__file__).parent
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))}
+    bench = package.parent.parent / "perfbench"
+    users = {
+        f"perfbench/{path.name}": path.read_text(encoding="utf-8")
+        for path in sorted(bench.glob("*.py"))
+        if not path.name.startswith("test_")
+    }
+    # an entry leaves the list once the program calls that name
+    unused = [entry.split(": ")[1] for entry in _unreferenced_publics(sources, users)]
+    assert sorted(unused) == sorted(REFERENCE_CHECKERS)

@@ -130,7 +130,9 @@ def test_time_cap_during_setup_times_out_and_clears_deadline():
     inst = BilevelInstance(g, 9, tuple(range(40, 52)), lower=64, time_cap=1e-6)
     out = max_unsolvable(inst)
     assert out.status == "TimedOut"
-    assert engine_for(g, 9).deadline is None
+    # the expired cap must not reach the next, uncapped search on the engine
+    again = max_unsolvable(BilevelInstance(g, 9, tuple(range(40, 52)), lower=64))
+    assert again.status != "TimedOut"
 
 
 def test_outcome_carries_counters():

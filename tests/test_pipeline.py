@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from pebbling.configurations import Configuration
@@ -100,6 +102,14 @@ def test_two_pebbling_holds_on_small_graphs():
     assert two_pebbling_witness(catalog("complete:4")) is None
     assert two_pebbling_witness(catalog("path:3")) is None
     assert two_pebbling_witness(catalog("cycle:5")) is None
+
+
+def test_two_pebbling_time_cap_covers_the_pebbling_number():
+    # pi(cube:4) alone takes many seconds uncapped
+    t0 = time.monotonic()
+    with pytest.raises(TimeoutError):
+        two_pebbling_witness(catalog("cube:4"), time_cap=0.5)
+    assert time.monotonic() - t0 < 5
 
 
 def test_two_pebbling_witness_on_lemke():

@@ -60,21 +60,6 @@ def test_elements_are_automorphisms_and_closed():
     assert composed in images
 
 
-def test_generators_generate_whole_group():
-    g = catalog("cycle:5")
-    group = automorphisms(g)
-    frontier = [tuple(range(g.n))]
-    closure = set(frontier)
-    while frontier:
-        cur = frontier.pop()
-        for p in group.generators:
-            nxt = tuple(cur[p.image[i]] for i in range(g.n))
-            if nxt not in closure:
-                closure.add(nxt)
-                frontier.append(nxt)
-    assert len(closure) == group.order
-
-
 def test_lemke_product_group_order():
     g = catalog("product:lemke1,lemke1")
     group = automorphisms(g)
