@@ -70,18 +70,11 @@ def apply_move(p: Configuration, a: Arc) -> Configuration:
     return Configuration(counts)
 
 
-def scaled_weight(p: Configuration, r: int, d: DistanceTable) -> tuple[int, int]:
-    """Return (sum_v p(v) * 2^(ecc - dist(v,r)), 2^ecc): exact integers, no rounding."""
-    row = d[r]
-    ecc = max(row)
-    scaled = sum(c << (ecc - row[v]) for v, c in enumerate(p.counts) if c)
-    return scaled, 1 << ecc
-
-
 def weight(p: Configuration, r: int, d: DistanceTable) -> Fraction:
     """Exact Σ_v p(v) * 2^(-dist(v,r)); values below 1 certify r-unsolvability."""
-    scaled, scale = scaled_weight(p, r, d)
-    return Fraction(scaled, scale)
+    row = d[r]
+    ecc = max(row)
+    return Fraction(sum(c << (ecc - row[v]) for v, c in enumerate(p.counts) if c), 1 << ecc)
 
 
 def parse_config_literal(text: str, g: Graph) -> Configuration:

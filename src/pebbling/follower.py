@@ -10,11 +10,14 @@ Layered decision procedure, sound at every layer:
   3. exhaustive depth-first search over all weight-feasible moves, with a
      per-goal dead set of residual configurations known to fail; it returns
      the winning move path, which is the certificate of every delivered count.
-Layers 1-2 only ever claim "solvable"; layer 3 is complete.
+Layers 1-2 only ever claim "solvable"; layer 3 is complete.  decide runs
+all three; max_deliverable runs only layer 3, one search per goal, and
+keeps the path of the last goal it reaches.
 
 One engine per (graph, root) lives as long as its graph and shares its dead
-sets across calls; a deadline belongs to one call.  The flow helpers and
-bfs_oracle are reference checkers that re-verify answers independently.
+sets across calls, decide's and max_deliverable's alike; a deadline belongs
+to one call.  The flow helpers and bfs_oracle are reference checkers that
+re-verify answers independently.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .configurations import Configuration, scaled_weight
+from .configurations import Configuration
 from .graphs import Arc, Graph
 
 DEAD_SET_LIMIT = 2_000_000  # entries per dead set before it is cleared; bounds memory
@@ -257,47 +260,49 @@ class FollowerEngine:
         dead.add(key)
         return False
 
+    def _start(self, counts, t):
+        """Prologue of every public call: counts -> (q, goal, W)."""
+        self.calls += 1
+        q = list(counts)
+        return q, q[self.r] + t, sum(c * self.wt[v] for v, c in enumerate(q) if c)
+
+    def _search(self, q, W, goal, path, deadline) -> bool:
+        """The exact search, on the dead set this engine keeps for goal."""
+        _raise_recursion_limit(sum(q))
+        return self._dfs(q, W, goal, self._dead.setdefault(goal, set()), path, deadline)
+
     def decide(self, counts, t: int = 1, deadline: float | None = None) -> bool:
         """Exact: can t pebbles arrive at r (on top of any already there)?
 
         Raises TimeoutError when the search polls the monotonic clock past
         deadline; the dead set keeps only configurations whose search finished.
         """
-        self.calls += 1
+        q, goal, W = self._start(counts, t)
         if t <= 0:
             return True
-        q = list(counts)
-        goal = q[self.r] + t
-        W = sum(c * self.wt[v] for v, c in enumerate(q) if c)
         if W < goal * self.scale:
             return False
-        if self._accepts(q, goal):
-            return True
-        _raise_recursion_limit(sum(q))
-        return self._dfs(q, W, goal, self._dead.setdefault(goal, set()), [], deadline)
+        return self._accepts(q, goal) or self._search(q, W, goal, [], deadline)
 
     def decide_cheap(self, counts, t: int = 1) -> bool:
         """Sound accept-only check: True means solvable, False means unknown."""
-        self.calls += 1
-        if t <= 0:
-            return True
-        q = list(counts)
-        goal = q[self.r] + t
-        W = sum(c * self.wt[v] for v, c in enumerate(q) if c)
-        return W >= goal * self.scale and self._accepts(q, goal)
+        q, goal, W = self._start(counts, t)
+        return t <= 0 or W >= goal * self.scale and self._accepts(q, goal)
 
     def trace(self, counts, t: int = 1) -> list[Arc] | None:
-        """Exact search returning a legal move sequence with t arrivals, or None."""
+        """Exact search returning a legal move sequence with t arrivals, or None.
+
+        It shares decide's dead sets: a configuration enters one only after
+        every move from it failed, so the first path found never depends on
+        what the set holds.
+        """
+        q, goal, W = self._start(counts, t)
         if t <= 0:
             return []
-        q = list(counts)
-        goal = q[self.r] + t
-        W = sum(c * self.wt[v] for v, c in enumerate(q) if c)
         if W < goal * self.scale:
             return None
-        _raise_recursion_limit(sum(q))
         path: list[Arc] = []
-        return path[::-1] if self._dfs(q, W, goal, set(), path, None) else None
+        return path[::-1] if self._search(q, W, goal, path, None) else None
 
 
 def _raise_recursion_limit(size: int):
@@ -327,16 +332,15 @@ def is_solvable(g: Graph, p: Configuration, r: int) -> bool:
 
 
 def max_deliverable(g: Graph, p: Configuration, r: int) -> DeliveryResult:
-    """Optimal number of pebbles movable into r, with a move certificate."""
+    """Optimal number of pebbles movable into r, with a move certificate.
+
+    One exact search per goal: the path of the last goal reached is the
+    certificate, and the weight bound ends the climb.
+    """
     eng = engine_for(g, r)
-    best = 0
-    scaled, scale = scaled_weight(p, r, g.distance_table)
-    limit = (scaled - p[r] * scale) // scale  # arrivals can never exceed this
-    while best < limit and eng.decide(p.counts, best + 1):
-        best += 1
-    moves = eng.trace(p.counts, best)
-    if moves is None:
-        raise AssertionError("trace failed for a decided delivery, engine bug")
+    best, moves = 0, []
+    while (path := eng.trace(p.counts, best + 1)) is not None:
+        best, moves = best + 1, path
     return DeliveryResult(delivered=best, moves=moves)
 
 
@@ -380,7 +384,7 @@ def order_moves(d: MoveMultigraph, p: Configuration) -> list[Arc] | None:
     return order
 
 
-def purify_flow(g: Graph, z: FlowVector, p: Configuration, r: int) -> FlowVector:
+def purify_flow(z: FlowVector) -> FlowVector:
     """Cancel directed cycles until the move multigraph is acyclic.
 
     Feasibility is preserved (cancelling a cycle only adds slack at each

@@ -55,10 +55,6 @@ class BilevelInstance:
             raise ValueError(f"need L <= U, got L={self.lower}, U={self.upper}")
         object.__setattr__(self, "support", tuple(sorted(set(self.support))))
 
-    def capacity_bound(self) -> int:
-        d = self.graph.distance_table[self.root]
-        return sum((1 << d[v]) - 1 for v in self.support)
-
 
 @dataclass
 class BilevelOutcome:
@@ -188,14 +184,10 @@ class _Search:
             if rem == 0:
                 if W < scale:
                     return {v: y for _, v, y in items}
-                if self.cores and self.dominates_core(q):
-                    return None
                 if eng.decide(q, 1, self.deadline):
                     self.learn_core([(v, y) for _, v, y in items])
                     return None
                 return {v: y for _, v, y in items}
-            if i == s:
-                return None
             if len(items) >= 2:
                 (_, u1, y1), (_, u2, y2) = sorted(items, key=lambda t: -t[2])[:2]
             else:
@@ -266,8 +258,9 @@ def max_unsolvable(inst: BilevelInstance) -> BilevelOutcome:
     try:
         search = _Search(inst)
         lower = inst.lower
-        upper = inst.upper if inst.upper is not None else inst.capacity_bound()
-        upper = min(upper, sum(search.caps))
+        upper = sum(search.caps)
+        if inst.upper is not None:
+            upper = min(upper, inst.upper)
         if lower > upper:
             return result("Infeasible")
         best = search.find_witness(lower)

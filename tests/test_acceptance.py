@@ -22,6 +22,7 @@ from pebbling.configurations import Configuration, apply_move
 from pebbling.covering import greedy_cover, validate_cover
 from pebbling.follower import (
     FlowVector,
+    FollowerEngine,
     MoveMultigraph,
     balance_check,
     bfs_oracle,
@@ -292,10 +293,15 @@ def test_flow_oracle_equivalence_suite():
     for n, graphs in families.items():
         for g in graphs:
             for r in range(n):
+                fresh = FollowerEngine(g, r)  # decide, cheap accepts included, on its own engine
                 for counts in _configs_upto(n, 7):
                     p = Configuration(counts)
                     res = max_deliverable(g, p, r)
-                    assert res.delivered == bfs_oracle(g, p, r), (g.name, r, counts)
+                    best = bfs_oracle(g, p, r)
+                    assert res.delivered == best, (g.name, r, counts)
+                    for t in (best, best + 1):
+                        if t >= 1:
+                            assert fresh.decide(p.counts, t) == (t <= best), (g.name, r, counts, t)
                     flow = FlowVector(Counter(res.moves))
                     assert flow_is_feasible(g, flow, p, r)
                     assert flow.inflow(r) == res.delivered, (g.name, r, counts)
@@ -380,7 +386,7 @@ def test_flow_oracle_equivalence_suite():
         z = FlowVector(dict(Counter(moves)))
         assert flow_is_feasible(g, z, p, r)
         cyclic_seen += not MoveMultigraph.from_flow(g, z).is_acyclic()
-        pure = purify_flow(g, z, p, r)
+        pure = purify_flow(z)
         assert MoveMultigraph.from_flow(g, pure).is_acyclic()
         assert flow_is_feasible(g, pure, p, r)
         assert pure.inflow(r) == z.inflow(r)

@@ -12,7 +12,6 @@ from pebbling.configurations import (
     apply_move,
     format_config,
     parse_config_literal,
-    scaled_weight,
     weight,
 )
 from pebbling.follower import is_solvable
@@ -66,8 +65,6 @@ def test_weight_examples():
     assert weight(Configuration([0, 2, 0]), 0, d) == 1
     assert weight(Configuration([0, 0, 4]), 0, d) == 1
     assert weight(Configuration([0, 1, 1]), 0, d) == Fraction(3, 4)
-    scaled, scale = scaled_weight(Configuration([0, 1, 1]), 0, d)
-    assert (scaled, scale) == (3, 4)
 
 
 def test_parse_config_literal():

@@ -138,10 +138,8 @@ def test_flow_vector_validation_and_views():
 
 def test_purify_flow_cancels_cycles():
     g = catalog("cycle:4")
-    p = Configuration([0, 2, 4, 2])
-    cyc = FlowVector({Arc(1, 2): 1, Arc(2, 3): 1, Arc(3, 0): 1, Arc(2, 1): 1, Arc(1, 2): 1})
     z = FlowVector({Arc(1, 2): 2, Arc(2, 1): 1, Arc(2, 3): 1, Arc(3, 0): 1})
-    pure = purify_flow(g, z, p, 0)
+    pure = purify_flow(z)
     assert MoveMultigraph.from_flow(g, pure).is_acyclic()
     assert pure.inflow(0) >= z.inflow(0) - z.outflow(0)
 
@@ -182,7 +180,12 @@ def test_engine_matches_oracle_on_random_configs():
                 counts[rng.randrange(g.n)] += 1
             p = Configuration(counts)
             r = rng.randrange(g.n)
-            assert max_deliverable(g, p, r).delivered == bfs_oracle(g, p, r)
+            best = bfs_oracle(g, p, r)
+            assert max_deliverable(g, p, r).delivered == best
+            # max_deliverable runs no cheap accept; decide runs them all
+            for t in (best, best + 1):
+                if t >= 1:
+                    assert FollowerEngine(g, r).decide(p.counts, t) == (t <= best)
 
 
 def test_engine_for_caches_per_graph_and_root():
@@ -211,6 +214,31 @@ def test_expired_deadline_leaves_no_state_behind():
         eng.decide(q, 1, deadline=time.monotonic() - 1)
     assert eng.decide(q, 1) is True
     assert FollowerEngine(g, 9).decide(q, 1) is True
+
+
+def test_max_deliverable_runs_one_search_per_goal():
+    # the certificate comes from the search that decides the last goal
+    g = catalog("product:lemke1,lemke1")
+    q = [0] * g.n
+    q[28], q[39], q[52] = 11, 9, 16
+    res = max_deliverable(g, Configuration(q), 9)
+    assert (res.delivered, len(res.moves)) == (1, 32)
+    eng = engine_for(g, 9)
+    assert eng.dfs_nodes == 9311
+    # the dead set of that search is the engine's: a repeat walks only the path
+    assert max_deliverable(g, Configuration(q), 9).moves == res.moves
+    assert eng.dfs_nodes == 9311 + 32
+
+
+def test_warm_dead_sets_leave_certificates_unchanged():
+    rng = random.Random(17)
+    warm = catalog("lemke1")
+    for _ in range(60):
+        counts = [0] * warm.n
+        for _ in range(rng.randint(4, 14)):
+            counts[rng.randrange(warm.n)] += 1
+        p, r = Configuration(counts), rng.randrange(warm.n)
+        assert max_deliverable(warm, p, r).moves == max_deliverable(catalog("lemke1"), p, r).moves
 
 
 def test_decide_multi_target():

@@ -30,6 +30,32 @@ def _references(tree) -> list[str]:
     ]
 
 
+def _unread_parameters(source: str) -> list[str]:
+    """Function parameters that the function's body never reads.
+
+    `self`, `cls` and `_`-prefixed names are exempt; a read inside a nested
+    function or lambda counts.
+    """
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = node.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+        read = {
+            sub.id
+            for stmt in node.body
+            for sub in ast.walk(stmt)
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+        }
+        unread += [
+            f"line {node.lineno}: {node.name}({arg.arg})"
+            for arg in params
+            if arg.arg not in read | {"self", "cls"} and not arg.arg.startswith("_")
+        ]
+    return unread
+
+
 def _unreferenced_internals(sources: dict[str, str]) -> list[str]:
     """Private defs and UPPERCASE module constants no other code refers to.
 
@@ -60,24 +86,33 @@ def _unreferenced_internals(sources: dict[str, str]) -> list[str]:
     return unused
 
 
+def _from_imports(tree, top: str | None = None) -> list[str]:
+    """Names of `from ... import` lines, only from package `top` if given."""
+    return [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and top in (None, (node.module or "").split(".")[0])
+        for alias in node.names
+    ]
+
+
 def _unreferenced_publics(package: dict[str, str], users: dict[str, str]) -> list[str]:
     """Public top-level functions and classes of `package` that no code refers to.
 
     A reference counts from any package module but `__init__.py` (re-exports
-    do not count) or from any module in `users`, including the names in
-    `from ... import` lines; a def's references to itself do not count.
+    do not count), including the names in `from ... import` lines; a def's
+    references to itself do not count.  A module in `users` counts only the
+    names it imports with `from pebbling... import`, so its own variables
+    never stand in for a package name.
     """
     trees = {name: ast.parse(source) for name, source in {**package, **users}.items()}
     everywhere = Counter()
     for name, tree in trees.items():
-        if name != "__init__.py":
-            everywhere.update(_references(tree))
-            everywhere.update(
-                alias.name
-                for node in ast.walk(tree)
-                if isinstance(node, ast.ImportFrom)
-                for alias in node.names
-            )
+        if name in users:
+            everywhere.update(_from_imports(tree, "pebbling"))
+        elif name != "__init__.py":
+            everywhere.update(_references(tree) + _from_imports(tree))
     return [
         f"{module}: {node.name}"
         for module in package
@@ -111,6 +146,30 @@ def test_package_modules_import_only_names_they_use():
     assert unused == {}
 
 
+def test_unread_parameter_detector():
+    source = (
+        "class A:\n"
+        "    def m(self, x, _y, *args, z=1, **kw):\n"
+        "        return [x for _ in args]\n"
+        "    @classmethod\n"
+        "    def c(cls, w):\n"
+        "        return lambda: w\n"
+        "def f(a, b):\n"
+        "    b = a\n"
+    )
+    assert sorted(_unread_parameters(source)) == ["line 2: m(kw)", "line 2: m(z)", "line 7: f(b)"]
+
+
+def test_package_functions_read_every_parameter():
+    package = Path(pebbling.__file__).parent
+    unread = {
+        path.name: names
+        for path in sorted(package.glob("*.py"))
+        if (names := _unread_parameters(path.read_text(encoding="utf-8")))
+    }
+    assert unread == {}
+
+
 def test_unreferenced_internals_detector():
     sources = {
         "a.py": (
@@ -141,7 +200,7 @@ def test_unreferenced_publics_detector():
         "a.py": "def exported():\n    return exported()\ndef helper():\n    pass\n",
         "b.py": "from .a import helper\nclass Used:\n    pass\nclass Unused:\n    pass\n",
     }
-    users = {"bench.py": "import b\nb.Used()\n"}
+    users = {"bench.py": "from pebbling.b import Used\nfrom os import Unused\nUnused = Used()\n"}
     assert _unreferenced_publics(package, users) == ["a.py: exported", "b.py: Unused"]
 
 
@@ -153,6 +212,7 @@ REFERENCE_CHECKERS = {
     "order_moves": "turns a balanced acyclic flow into a legal move order",
     "purify_flow": "cancels flow cycles, so a flow certificate can be ordered",
     "flow_is_feasible": "checks a flow certificate's balance independently of the search",
+    "weight": "the exact Fraction weight that the tests check the engine's bound against",
 }
 
 

@@ -29,7 +29,6 @@ def test_instance_support_and_capacity():
     g = catalog("path:3")
     inst = BilevelInstance(g, 0, (2, 1))
     assert inst.support == (1, 2)
-    assert inst.capacity_bound() == 1 + 3
 
 
 def test_lower_above_capacity_is_infeasible():
