@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 
 from .configurations import format_config, parse_config_literal
 from .covering import greedy_cover, validate_cover
@@ -40,7 +41,8 @@ def _parse_support(text: str) -> tuple[int, ...]:
 def cmd_solve(args) -> int:
     g = parse_graph_spec(args.graph)
     p = parse_config_literal(args.config, g)
-    result = max_deliverable(g, p, args.root)
+    deadline = time.monotonic() + args.time_cap if args.time_cap is not None else None
+    result = max_deliverable(g, p, args.root, deadline)
     print(f"delivered {result.delivered}")
     for a in result.moves:
         print(f"move {a.tail} -> {a.head}")
@@ -203,6 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--root", type=int, required=True)
     p.add_argument("--config", required=True, help="configuration literal v:k[,v:k]*")
+    p.add_argument("--time-cap", type=float, default=None)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("pis", help="largest unsolvable size over a support")

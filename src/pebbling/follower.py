@@ -6,7 +6,10 @@ matching the root-sink constraint of the flow formulation it implements.
 
 Layered decision procedure, sound at every layer:
   1. arithmetic accepts (single-source floors and their sums),
-  2. greedy collapse and stack-merge accepts (constructive move witnesses),
+  2. greedy collapse and stack-merge accepts (constructive move witnesses);
+     the merge accept tries, for each pair of stack vertices, only the
+     meeting vertices that no earlier vertex matches on all three distances,
+     from a per-pair table built on first use,
   3. exhaustive depth-first search over all weight-feasible moves, with a
      per-goal dead set of residual configurations known to fail; it returns
      the winning move path, which is the certificate of every delivered count.
@@ -148,6 +151,7 @@ class FollowerEngine:
         self.calls = 0
         self.dfs_nodes = 0
         self._dead: dict[int, set] = {}
+        self._meet: list[list | None] = [None] * (self.n * self.n)
 
     # ----- cheap sound accepts (True => solvable; False => unknown) -----
 
@@ -180,9 +184,27 @@ class FollowerEngine:
                 break
         return False
 
+    def _meeting(self, u: int, v: int):
+        """Meeting vertices worth trying for stacks on u and v, as
+        (w, D[u][w], D[v][w], D[w][r]) in index order; built on first use.
+
+        A w that some earlier w' matches or beats on all three distances
+        never merges strictly better than w', so dropping it keeps the first
+        best meeting vertex of every merge.  w = 0 always stays, so no row
+        is empty.
+        """
+        D, r = self.D, self.r
+        row = []
+        for w in range(self.n):
+            du, dv, dr = D[u][w], D[v][w], D[w][r]
+            if not any(a <= du and b <= dv and c <= dr for _, a, b, c in row):
+                row.append((w, du, dv, dr))
+        self._meet[u * self.n + v] = row
+        return row
+
     def _accept_merge(self, q, goal) -> bool:
         """Greedy chain of pairwise stack merges at best meeting vertices."""
-        D, r, n = self.D, self.r, self.n
+        D, r, n, meet = self.D, self.r, self.n, self._meet
         stacks = [[v, c] for v, c in enumerate(q) if c and v != self.r]
         base = q[self.r]
         while True:
@@ -190,23 +212,23 @@ class FollowerEngine:
                 return True
             if len(stacks) < 2:
                 return False
-            best = None
+            # best merge: most pebbles onward to r, then most at w; first wins
+            bk = bm = -1
             for i in range(len(stacks)):
                 u, a = stacks[i]
                 for j in range(i + 1, len(stacks)):
                     v, b = stacks[j]
-                    for w in range(n):
-                        m = (a >> D[u][w]) + (b >> D[v][w])
-                        if m == 0:
-                            continue
-                        key = (m >> D[w][r], m)
-                        if best is None or key > best[0]:
-                            best = (key, i, j, w, m)
-            if best is None:
+                    row = meet[u * n + v] or self._meeting(u, v)
+                    for w, du, dv, dr in row:
+                        m = (a >> du) + (b >> dv)
+                        if m:
+                            k = m >> dr
+                            if k > bk or k == bk and m > bm:
+                                bk, bm, bi, bj, bw = k, m, i, j, w
+            if bm < 0:
                 return False
-            _, i, j, w, m = best
-            stacks = [stacks[k] for k in range(len(stacks)) if k not in (i, j)]
-            stacks.append([w, m])
+            stacks = [stacks[k] for k in range(len(stacks)) if k not in (bi, bj)]
+            stacks.append([bw, bm])
 
     def _accepts(self, q, goal) -> bool:
         """Layers 1-2 in cost order; True means solvable."""
@@ -289,12 +311,12 @@ class FollowerEngine:
         q, goal, W = self._start(counts, t)
         return t <= 0 or W >= goal * self.scale and self._accepts(q, goal)
 
-    def trace(self, counts, t: int = 1) -> list[Arc] | None:
+    def trace(self, counts, t: int = 1, deadline: float | None = None) -> list[Arc] | None:
         """Exact search returning a legal move sequence with t arrivals, or None.
 
         It shares decide's dead sets: a configuration enters one only after
         every move from it failed, so the first path found never depends on
-        what the set holds.
+        what the set holds.  A deadline acts as in decide.
         """
         q, goal, W = self._start(counts, t)
         if t <= 0:
@@ -302,7 +324,7 @@ class FollowerEngine:
         if W < goal * self.scale:
             return None
         path: list[Arc] = []
-        return path[::-1] if self._search(q, W, goal, path, None) else None
+        return path[::-1] if self._search(q, W, goal, path, deadline) else None
 
 
 def _raise_recursion_limit(size: int):
@@ -331,15 +353,18 @@ def is_solvable(g: Graph, p: Configuration, r: int) -> bool:
     return engine_for(g, r).decide(p.counts, 1)
 
 
-def max_deliverable(g: Graph, p: Configuration, r: int) -> DeliveryResult:
+def max_deliverable(
+    g: Graph, p: Configuration, r: int, deadline: float | None = None
+) -> DeliveryResult:
     """Optimal number of pebbles movable into r, with a move certificate.
 
     One exact search per goal: the path of the last goal reached is the
-    certificate, and the weight bound ends the climb.
+    certificate, and the weight bound ends the climb.  Past deadline
+    (monotonic seconds) it raises TimeoutError.
     """
     eng = engine_for(g, r)
     best, moves = 0, []
-    while (path := eng.trace(p.counts, best + 1)) is not None:
+    while (path := eng.trace(p.counts, best + 1, deadline)) is not None:
         best, moves = best + 1, path
     return DeliveryResult(delivered=best, moves=moves)
 

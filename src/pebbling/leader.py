@@ -15,6 +15,10 @@ per-vertex solvability caps (2^dist - 1), and prunes with:
     two largest placed stacks can merge onto each remaining vertex,
   - learned dominance cores: solvable configurations pruning their entire
     pointwise up-set (supersets of solvable configurations are solvable).
+    Cores live in a bitset index: ok[j][a] marks the cores needing at most
+    a pebbles on sup[j], a prefix mask ANDs the rows of the placed stacks,
+    and a suffix mask marks the cores that need nothing further on, so
+    each dominance test is two ANDs.
 """
 
 from __future__ import annotations
@@ -74,45 +78,46 @@ class _Search:
         self.eng: FollowerEngine = engine_for(g, r)
         self.D = g.distance_table.dist
         self.d = self.D[r]
-        self.r = r
         self.n = g.n
         self.wt = self.eng.wt
         self.scale = self.eng.scale
         # big stacks first: far vertices carry the discriminating mass
         self.sup = sorted(inst.support, key=lambda v: (-self.d[v], v))
         self.caps = [(1 << self.d[v]) - 1 for v in self.sup]
-        self.cores: list[tuple[tuple[int, int], ...]] = []
+        s = len(self.sup)
+        # dominance index; bit c stands for the c-th learned core
+        self.ncores = 0
+        self.ok = [[0] * (c + 1) for c in self.caps]
+        self.pre = [-1] * (s + 1)  # pre[i]: cores within q on sup[:i]
+        self.suf = [0] * (s + 1)  # suf[i]: cores needing nothing on sup[i:]
         self.nodes = 0
         self.deadline = (
             time.monotonic() + inst.time_cap if inst.time_cap is not None else None
         )
-        self.pair = self._pair_frontiers()
+        self.cut = self._pair_frontiers()
 
     def check_time(self):
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise TimeoutError("leader time cap elapsed")
 
     def _pair_frontiers(self):
-        """pair[i][j][a] = least b making {sup[i]: a, sup[j]: b} provably solvable.
+        """cut[i][a][j]: the cap on sup[j] once sup[i] holds a pebbles.
 
-        Frontiers of the cheap accepts, exact and monotone: b >= pair[i][j][a]
-        proves the pair solvable, so pair[i][j][a] - 1 caps vertex j under a
-        placed (i, a).  Value cap_j + 1 means no b suffices.  Each unordered
-        pair is probed once; the transpose is derived by frontier inversion.
+        Frontiers of the cheap accepts, exact and monotone: b pebbles on sup[j]
+        next to a on sup[i] are provably solvable from the least such b on,
+        so one less caps sup[j]; caps[j] where no b suffices, and on j = i.
+        Each unordered pair is probed once; the transpose is derived by
+        frontier inversion.
         """
-        s = len(self.sup)
-        pair: list[list[list[int] | None]] = [[None] * s for _ in range(s)]
-        if s < 2:
-            return pair
+        s, sup, caps = len(self.sup), self.sup, self.caps
+        cut = [[list(caps) for _ in range(c + 1)] for c in caps]
         probe = [0] * self.n
         cheap = self.eng.decide_cheap
         for i in range(s):
             for j in range(i + 1, s):
-                u, v = self.sup[i], self.sup[j]
-                ci, cj = self.caps[i], self.caps[j]
-                row = [0] * (ci + 1)
-                b = cj + 1
-                for a in range(ci + 1):
+                u, v = sup[i], sup[j]
+                b = filled = caps[j] + 1
+                for a in range(caps[i] + 1):
                     probe[u] = a
                     while b > 0:
                         probe[v] = b - 1
@@ -120,35 +125,23 @@ class _Search:
                             b -= 1
                         else:
                             break
-                    row[a] = b
+                    cut[i][a][j] = b - 1
+                    # a is the least count on u that b..filled-1 on v solve
+                    for bb in range(b, filled):
+                        cut[j][bb][i] = a - 1
+                    filled = b
                 probe[u] = probe[v] = 0
-                pair[i][j] = row
-                inv = [ci + 1] * (cj + 1)
-                filled = cj + 1
-                for a in range(ci + 1):
-                    mb = row[a]
-                    if mb < filled:
-                        for bb in range(mb, filled):
-                            inv[bb] = a
-                        filled = mb
-                pair[j][i] = inv
                 self.nodes += 1
                 self.check_time()
-        return pair
-
-    def dominates_core(self, q) -> bool:
-        for core in self.cores:
-            for v, a in core:
-                if q[v] < a:
-                    break
-            else:
-                return True
-        return False
+        return cut
 
     def learn_core(self, items):
         """Record a solvable configuration, pointwise-minimized under the cheap
-        accepts; its up-set can never hold a witness."""
-        if len(self.cores) >= CORE_LIMIT:
+        accepts; its up-set can never hold a witness.
+
+        The core lies within q on the current path, so its bit joins every
+        prefix mask on the stack and prunes from the next placement on."""
+        if self.ncores >= CORE_LIMIT:
             return
         core = dict(items)
         probe = [0] * self.n
@@ -165,72 +158,89 @@ class _Search:
                     lo = mid + 1
             core[v] = lo
             probe[v] = lo
-        core = {v: a for v, a in core.items() if a > 0}
-        if core:
-            self.cores.append(tuple(sorted(core.items(), key=lambda t: -t[1])))
+        if not any(core.values()):
+            return
+        bit = 1 << self.ncores
+        self.ncores += 1
+        last = 0
+        for j, v in enumerate(self.sup):
+            need = core.get(v, 0)
+            if need:
+                last = j + 1
+            row = self.ok[j]
+            for a in range(need, len(row)):
+                row[a] |= bit
+        for i in range(len(self.pre)):
+            self.pre[i] |= bit
+        for i in range(last, len(self.suf)):
+            self.suf[i] |= bit
 
     def find_witness(self, m: int) -> dict[int, int] | None:
         """Exhaustive-up-to-sound-prunes search for an unsolvable size-m config."""
         q = [0] * self.n
-        sup, caps, pair = self.sup, self.caps, self.pair
+        sup, caps, cut = self.sup, self.caps, self.cut
         s = len(sup)
         wt, scale = self.wt, self.scale
         eng = self.eng
-        D, r = self.D, self.r
+        D, d = self.D, self.d
+        ok, pre, suf = self.ok, self.pre, self.suf
 
-        def rec(i: int, rem: int, W: int, items) -> dict[int, int] | None:
+        def rec(i: int, rem: int, W: int, pcap, top) -> dict[int, int] | None:
+            """pcap[j] (j >= i): caps[j] cut by every placed stack's pair
+            frontier; top: (u1, y1, u2, y2), the two largest placed stacks,
+            the earlier placement first on ties."""
             self.nodes += 1
             self.check_time()
             if rem == 0:
-                if W < scale:
-                    return {v: y for _, v, y in items}
-                if eng.decide(q, 1, self.deadline):
-                    self.learn_core([(v, y) for _, v, y in items])
+                placed = [(v, q[v]) for v in sup if q[v]]
+                if W >= scale and eng.decide(q, 1, self.deadline):
+                    self.learn_core(placed)
                     return None
-                return {v: y for _, v, y in items}
-            if len(items) >= 2:
-                (_, u1, y1), (_, u2, y2) = sorted(items, key=lambda t: -t[2])[:2]
+                return dict(placed)
+            u1, y1, u2, y2 = top
+            if u2 is None:
+                tcaps = [c if c > 0 else 0 for c in pcap[i:]]
             else:
-                u1 = None
-            tcaps = []
-            for j in range(i, s):
-                c = caps[j]
-                vj = sup[j]
-                for p, _, y in items:
-                    b = pair[p][j][y] - 1
-                    if b < c:
-                        c = b
-                if u1 is not None:
-                    # two largest placed stacks merged onto vj tighten its cap
-                    delta = 0
-                    for w in (vj, r):
-                        x = ((y1 >> D[u1][w]) + (y2 >> D[u2][w])) >> D[w][vj]
-                        if x > delta:
-                            delta = x
-                    if caps[j] - delta < c:
-                        c = caps[j] - delta
-                if c < 0:
-                    c = 0
-                tcaps.append(c)
+                # two largest placed stacks merged onto vj (or onto r) tighten its cap
+                D1, D2 = D[u1], D[u2]
+                x = (y1 >> d[u1]) + (y2 >> d[u2])
+                tcaps = []
+                for j in range(i, s):
+                    vj = sup[j]
+                    c = caps[j] - max((y1 >> D1[vj]) + (y2 >> D2[vj]), x >> d[vj])
+                    if pcap[j] < c:
+                        c = pcap[j]
+                    tcaps.append(c if c > 0 else 0)
             total = sum(tcaps)
             if rem > total:
                 return None
             v = sup[i]
+            row, cuts = ok[i], cut[i]
             hi = min(tcaps[0], rem)
             lo = max(0, rem - (total - tcaps[0]))
             for y in range(hi, lo - 1, -1):
-                q[v] = y
-                if y and self.cores and self.dominates_core(q):
-                    q[v] = 0
+                # pre[i] is reread: a core learned below joins it
+                pre[i + 1] = mask = pre[i] & row[y]
+                if y == 0:
+                    res = rec(i + 1, rem, W, pcap, top)
+                elif mask & suf[i + 1]:
                     continue
-                below = items + [(i, v, y)] if y else items
-                res = rec(i + 1, rem - y, W + y * wt[v], below)
-                q[v] = 0
+                else:
+                    if y > y1:
+                        below_top = (v, y, u1, y1)
+                    elif y > y2:
+                        below_top = (u1, y1, v, y)
+                    else:
+                        below_top = top
+                    q[v] = y
+                    below_cap = list(map(min, pcap, cuts[y]))
+                    res = rec(i + 1, rem - y, W + y * wt[v], below_cap, below_top)
+                    q[v] = 0
                 if res is not None:
                     return res
             return None
 
-        return rec(0, m, 0, [])
+        return rec(0, m, 0, caps, (None, 0, None, 0))
 
 
 def max_unsolvable(inst: BilevelInstance) -> BilevelOutcome:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -25,6 +26,18 @@ def test_solve_unsolvable_config(capsys):
     code, out = run_cli(capsys, "solve", "--graph", "path:3", "--root", "0", "--config", "2:3")
     assert code == 0
     assert "delivered 0" in out
+
+
+def test_solve_time_cap_prints_timed_out(capsys):
+    # uncapped, the first goal of this delivery question searches for tens of seconds
+    t0 = time.monotonic()
+    code, out = run_cli(
+        capsys,
+        "solve", "--graph", "product:lemke1,lemke1", "--root", "9",
+        "--config", "36:61,28:1,37:1,38:1", "--time-cap", "0.05",
+    )
+    assert (code, out) == (0, "status TimedOut\n")
+    assert time.monotonic() - t0 < 5
 
 
 def test_pis_optimal(capsys):

@@ -216,6 +216,15 @@ def test_expired_deadline_leaves_no_state_behind():
     assert FollowerEngine(g, 9).decide(q, 1) is True
 
 
+def test_expired_deadline_in_max_deliverable_leaves_no_state_behind():
+    # the first goal alone needs 9,311 DFS nodes on a fresh engine
+    g = catalog("product:lemke1,lemke1")
+    p = Configuration.from_map(g.n, {28: 11, 39: 9, 52: 16})
+    with pytest.raises(TimeoutError):
+        max_deliverable(g, p, 9, deadline=time.monotonic() - 1)
+    assert max_deliverable(g, p, 9) == max_deliverable(catalog("product:lemke1,lemke1"), p, 9)
+
+
 def test_max_deliverable_runs_one_search_per_goal():
     # the certificate comes from the search that decides the last goal
     g = catalog("product:lemke1,lemke1")
@@ -289,3 +298,53 @@ def test_engine_matches_oracle_near_the_weight_frontier():
             assert eng.decide(p.counts, t) == (best >= t)
             settled += best >= t and eng.dfs_nodes > nodes
     assert settled >= 10
+
+
+def _all_w_merge_chain(eng, q, goal):
+    """The stack-merge accept trying every vertex as the meeting vertex."""
+    D, r, n = eng.D, eng.r, eng.n
+    stacks = [[v, c] for v, c in enumerate(q) if c and v != r]
+    base = q[r]
+    while True:
+        if base + sum(c >> D[v][r] for v, c in stacks) >= goal:
+            return True
+        if len(stacks) < 2:
+            return False
+        best = None
+        for i in range(len(stacks)):
+            u, a = stacks[i]
+            for j in range(i + 1, len(stacks)):
+                v, b = stacks[j]
+                for w in range(n):
+                    m = (a >> D[u][w]) + (b >> D[v][w])
+                    if m == 0:
+                        continue
+                    key = (m >> D[w][r], m)
+                    if best is None or key > best[0]:
+                        best = (key, i, j, w, m)
+        if best is None:
+            return False
+        _, i, j, w, m = best
+        stacks = [stacks[k] for k in range(len(stacks)) if k not in (i, j)]
+        stacks.append([w, m])
+
+
+def test_merge_meeting_table_keeps_every_merge_chain():
+    cases = [(g, list(p.counts), 0) for g, p in _near_frontier_cases(random.Random(8), 150)]
+    rng = random.Random(9)
+    lxl = catalog("product:lemke1,lemke1")
+    d = lxl.distance_table[3]
+    while len(cases) < 400:
+        counts = [0] * lxl.n
+        for v in rng.sample([v for v in range(lxl.n) if v != 3], rng.randint(2, 6)):
+            counts[v] = rng.randint(1, 1 << d[v])
+        if 1 <= sum(c / (1 << d[v]) for v, c in enumerate(counts)) <= 2.6:
+            cases.append((lxl, counts, 3))
+    decisive = 0
+    for g, counts, r in cases:
+        eng = engine_for(g, r)
+        for goal in (1, 2, 3):
+            got = eng._accept_merge(counts, goal)
+            assert got == _all_w_merge_chain(eng, counts, goal)
+            decisive += got and not eng._accept_floors(counts, goal)
+    assert decisive >= 100

@@ -5,7 +5,7 @@ from itertools import combinations, product
 import pytest
 
 from pebbling.follower import engine_for
-from pebbling.graphs import catalog
+from pebbling.graphs import Graph, catalog
 from pebbling.leader import BilevelInstance, BilevelOutcome, max_unsolvable, pi_support
 
 
@@ -177,8 +177,6 @@ def test_max_unsolvable_agrees_with_exhaustive_small():
         [(0, 1), (1, 2), (1, 3), (3, 4), (3, 5)],
         [(0, 1), (1, 2), (1, 3), (2, 3), (2, 4), (4, 5)],
     ]
-    from pebbling.graphs import Graph
-
     cases = [(4, edges, (1, 2)) for edges in edges4]
     cases += [(6, edges, (3, 4)) for edges in edges6]
     for n, edges, sizes in cases:
@@ -205,3 +203,44 @@ def test_max_unsolvable_agrees_with_exhaustive_small():
                     else:
                         assert out.status == "Optimal"
                         assert out.value == best
+
+
+# BilevelOutcome.nodes (leader nodes plus follower calls) on fixed instances:
+# any change in what the pair frontiers, the two-stack tightening (ties
+# included) or the dominance cores (CORE_LIMIT included) cut moves these counts
+CUBE3_NODES = [
+    10, 13, 10, 13, 14, 19, 13, 10, 14, 13, 19, 14, 17, 17, 23, 13,
+    13, 19, 17, 23, 23, 23, 21, 26, 25, 33, 26, 34, 35, 44, 23, 25,
+    33, 35, 44, 43, 26, 35, 34, 44, 25, 23, 33, 33, 43, 44, 33, 33,
+    43, 42, 48, 48, 34, 44, 44, 48, 38, 52, 51, 62, 37, 36, 50, 49,
+    61, 61, 50, 49, 61, 64, 72, 71, 51, 62, 61, 71, 49, 50, 61, 62,
+    71, 72, 49, 61, 62, 71, 60, 71, 71, 105, 72,
+]
+PINNED = [
+    ("lemke1", 0, (1, 2), 3, 13),
+    ("lemke1", 0, (3, 4, 5), 5, 42),
+    ("lemke1", 0, (1, 3, 5, 7), 6, 58),
+    ("lemke1", 0, (1, 2, 3, 4, 5, 6, 7), 7, 377),
+    ("cube:4", 0, (1, 2, 4, 8, 15), 15, 106),
+    ("cube:4", 0, (3, 5, 6, 9, 10, 12), 10, 173),
+    ("cube:4", 0, (7, 11, 13, 14, 15), 15, 1933),
+    ("cube:4", 0, (1, 2, 4, 7, 8, 11, 13, 14), 12, 1817),
+    ("cube:4", 0, tuple(range(1, 11)), 10, 1054),
+    ("cube:4", 0, (4, 6, 8, 9, 11, 13), 10, 223),
+    ("cube:4", 0, (2, 3, 5, 11, 14, 15), 15, 410),
+    # learns more than CORE_LIMIT cores
+    ("product:lemke1,path:2", 0, (4, 5, 6, 7, 8, 10, 11, 15), 13, 17365),
+]
+
+
+def test_leader_node_counts_are_pinned():
+    g = catalog("cube:3")
+    supports = [S for k in (2, 3, 4) for S in combinations(range(1, 8), k)]
+    nodes = [max_unsolvable(BilevelInstance(g, 0, S)).nodes for S in supports]
+    assert nodes == CUBE3_NODES
+    for spec, r, support, value, count in PINNED:
+        out = max_unsolvable(BilevelInstance(catalog(spec), r, support))
+        assert (out.status, out.value, out.nodes) == ("Optimal", value, count), support
+    g6 = Graph(6, [(0, 1), (1, 2), (1, 3), (2, 3), (2, 4), (4, 5)])
+    out = max_unsolvable(BilevelInstance(g6, 0, (2, 3, 4, 5)))
+    assert (out.status, out.value, out.nodes) == ("Optimal", 16, 137)
