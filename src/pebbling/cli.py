@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 
 from .configurations import format_config, parse_config_literal
 from .covering import greedy_cover, validate_cover
-from .follower import max_deliverable
+from .follower import deadline_in, max_deliverable
 from .graphs import parse_graph_spec
 from .leader import BilevelInstance, max_unsolvable
 from .orchestrator import (
@@ -41,8 +40,7 @@ def _parse_support(text: str) -> tuple[int, ...]:
 def cmd_solve(args) -> int:
     g = parse_graph_spec(args.graph)
     p = parse_config_literal(args.config, g)
-    deadline = time.monotonic() + args.time_cap if args.time_cap is not None else None
-    result = max_deliverable(g, p, args.root, deadline)
+    result = max_deliverable(g, p, args.root, args.deadline)
     print(f"delivered {result.delivered}")
     for a in result.moves:
         print(f"move {a.tail} -> {a.head}")
@@ -51,17 +49,9 @@ def cmd_solve(args) -> int:
 
 def cmd_pis(args) -> int:
     g = parse_graph_spec(args.graph)
-    sense = {"desc": "descending", "asc": "ascending"}[args.sense]
-    inst = BilevelInstance(
-        g,
-        args.root,
-        _parse_support(args.support),
-        lower=args.lower,
-        upper=args.upper,
-        sense=sense,
-        time_cap=args.time_cap,
-    )
-    out = max_unsolvable(inst)
+    support = _parse_support(args.support)
+    inst = BilevelInstance(g, args.root, support, lower=args.lower, upper=args.upper)
+    out = max_unsolvable(inst, args.deadline)
     print(f"status {out.status}")
     if out.status == "Optimal":
         print(f"value {out.value}")
@@ -112,7 +102,7 @@ def cmd_cover(args) -> int:
 
 def cmd_pi(args) -> int:
     g = parse_graph_spec(args.graph)
-    print(f"pi {pi(g, time_cap=args.time_cap)}")
+    print(f"pi {pi(g, args.deadline)}")
     return 0
 
 
@@ -122,8 +112,7 @@ def cmd_pik(args) -> int:
         g,
         args.k,
         args.c,
-        class0=args.class0,
-        lower=args.lower,
+        lower=g.n if args.class0 else args.lower,
         sample=args.sample,
         time_cap=args.time_cap,
         seed=args.seed,
@@ -140,7 +129,7 @@ def cmd_pik(args) -> int:
 
 def cmd_twopp(args) -> int:
     g = parse_graph_spec(args.graph)
-    found = two_pebbling_witness(g, time_cap=args.time_cap)
+    found = two_pebbling_witness(g, args.deadline)
     if found is None:
         print("two-pebbling property holds")
     else:
@@ -214,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--support", required=True, help="comma-separated vertices")
     p.add_argument("--lower", type=int, default=1)
     p.add_argument("--upper", type=int, default=None)
-    p.add_argument("--sense", choices=["desc", "asc"], default="desc")
     p.add_argument("--time-cap", type=float, default=None)
     p.set_defaults(func=cmd_pis)
 
@@ -250,7 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", type=int, required=True)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--class0", action="store_true", help="use L = |V|")
-    group.add_argument("--lower", type=int, default=None)
+    # a string default: argparse spots a given --lower by identity with the
+    # default, and a parsed 1 is the int 1, so --class0 --lower 1 would pass
+    group.add_argument("--lower", type=int, default="1")
     p.add_argument("--sample", type=int, default=None)
     p.add_argument("--time-cap", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)
@@ -298,6 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # solve, pis, pi and twopp bound the whole call; pik, graham and batch
+    # pass time_cap on, to bound each instance on its own
+    args.deadline = deadline_in(getattr(args, "time_cap", None))
     try:
         return args.func(args)
     except ValueError as exc:

@@ -333,6 +333,11 @@ def _raise_recursion_limit(size: int):
         sys.setrecursionlimit(need)
 
 
+def deadline_in(cap: float | None) -> float | None:
+    """The time.monotonic() deadline cap seconds from now; None without a cap."""
+    return None if cap is None else time.monotonic() + cap
+
+
 _ENGINES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # graph -> {root: engine}
 
 

@@ -3,8 +3,8 @@
 The size-indexed existence predicate E(m) = "some r-unsolvable configuration
 of size m with support within S exists" is monotone downward (removing a
 pebble keeps a configuration unsolvable), so a single failed probe at the
-lower cut proves infeasibility, and the maximum feasible size can be found
-by binary search (descending sense) or a linear upward scan (ascending).
+lower cut proves infeasibility, and a binary search finds the maximum
+feasible size.
 
 Per-size search enumerates compositions over the support, restricted by
 per-vertex solvability caps (2^dist - 1), and prunes with:
@@ -40,8 +40,6 @@ class BilevelInstance:
     support: tuple[int, ...]
     lower: int = 1
     upper: int | None = None  # None: capacity default sum(2^dist - 1)
-    sense: str = "descending"
-    time_cap: float | None = None
 
     def __post_init__(self):
         g, r = self.graph, self.root
@@ -51,8 +49,6 @@ class BilevelInstance:
             raise ValueError("root may not belong to the support")
         if any(not 0 <= v < g.n for v in self.support):
             raise ValueError("support vertex out of range")
-        if self.sense not in ("descending", "ascending"):
-            raise ValueError(f"unknown sense {self.sense!r}")
         if self.lower < 1:
             raise ValueError(f"need L >= 1, got L={self.lower}")
         if self.upper is not None and self.lower > self.upper:
@@ -72,9 +68,8 @@ class BilevelOutcome:
 class _Search:
     """One instance's enumeration state: engine, caps, pair frontiers, cores."""
 
-    def __init__(self, inst: BilevelInstance):
+    def __init__(self, inst: BilevelInstance, deadline: float | None):
         g, r = inst.graph, inst.root
-        self.inst = inst
         self.eng: FollowerEngine = engine_for(g, r)
         self.D = g.distance_table.dist
         self.d = self.D[r]
@@ -91,14 +86,12 @@ class _Search:
         self.pre = [-1] * (s + 1)  # pre[i]: cores within q on sup[:i]
         self.suf = [0] * (s + 1)  # suf[i]: cores needing nothing on sup[i:]
         self.nodes = 0
-        self.deadline = (
-            time.monotonic() + inst.time_cap if inst.time_cap is not None else None
-        )
+        self.deadline = deadline
         self.cut = self._pair_frontiers()
 
     def check_time(self):
         if self.deadline is not None and time.monotonic() > self.deadline:
-            raise TimeoutError("leader time cap elapsed")
+            raise TimeoutError("leader deadline elapsed")
 
     def _pair_frontiers(self):
         """cut[i][a][j]: the cap on sup[j] once sup[i] holds a pebbles.
@@ -243,11 +236,12 @@ class _Search:
         return rec(0, m, 0, caps, (None, 0, None, 0))
 
 
-def max_unsolvable(inst: BilevelInstance) -> BilevelOutcome:
+def max_unsolvable(inst: BilevelInstance, deadline: float | None = None) -> BilevelOutcome:
     """Solve the bilevel program: Infeasible, or the maximum size with witness.
 
     The follower enters only as a boolean unsolvability oracle because the
     root-sink constraint pins its optimal value to zero on any witness.
+    Past deadline (a time.monotonic() value) the outcome is TimedOut.
     """
     t0 = time.monotonic()
     eng = engine_for(inst.graph, inst.root)
@@ -264,9 +258,9 @@ def max_unsolvable(inst: BilevelInstance) -> BilevelOutcome:
             nodes=nodes + (eng.calls - calls0),
         )
 
-    # building the search already probes pair frontiers under the cap
+    # building the search already probes pair frontiers under the deadline
     try:
-        search = _Search(inst)
+        search = _Search(inst, deadline)
         lower = inst.lower
         upper = sum(search.caps)
         if inst.upper is not None:
@@ -277,41 +271,29 @@ def max_unsolvable(inst: BilevelInstance) -> BilevelOutcome:
         if best is None:
             # monotone E: no witness at the lower cut rules out every larger size
             return result("Infeasible")
-        best_size = lower
-        if inst.sense == "descending":
-            lo, hi = lower, upper
-            while lo < hi:
-                mid = (lo + hi + 1) // 2
-                found = search.find_witness(mid)
-                if found is not None:
-                    best, best_size, lo = found, mid, mid
-                else:
-                    hi = mid - 1
-            best_size = lo
-        else:
-            m = lower + 1
-            while m <= upper:
-                found = search.find_witness(m)
-                if found is None:
-                    break
-                best, best_size = found, m
-                m += 1
+        lo, hi = lower, upper
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            found = search.find_witness(mid)
+            if found is not None:
+                best, lo = found, mid
+            else:
+                hi = mid - 1
     except TimeoutError:
         return result("TimedOut")
 
     witness = Configuration.from_map(inst.graph.n, best)
     if eng.decide(witness.counts):
         raise AssertionError("witness certification failed: follower solved it")
-    return result("Optimal", value=best_size, witness=witness)
+    return result("Optimal", value=lo, witness=witness)
 
 
-def pi_support(g: Graph, r: int, support, time_cap: float | None = None) -> int:
+def pi_support(g: Graph, r: int, support, deadline: float | None = None) -> int:
     """π_S(G, r): least m such that every size-m configuration over S solves r."""
     support = tuple(sorted(set(support)))
     if not support:
         return 1  # only the empty configuration exists, and it is unsolvable
-    inst = BilevelInstance(g, r, support, lower=1, upper=None, time_cap=time_cap)
-    outcome = max_unsolvable(inst)
+    outcome = max_unsolvable(BilevelInstance(g, r, support), deadline)
     if outcome.status == "TimedOut":
         raise TimeoutError(f"pi_support timed out after {outcome.elapsed:.1f}s")
     if outcome.status != "Optimal":

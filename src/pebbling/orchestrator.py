@@ -14,6 +14,7 @@ import os
 from dataclasses import asdict, dataclass, field
 
 from .covering import greedy_cover
+from .follower import deadline_in
 from .graphs import Graph, parse_graph_spec
 from .leader import BilevelInstance, max_unsolvable
 from .symmetry import automorphisms, orbit_representatives, support_class_reps
@@ -52,7 +53,6 @@ class ResultRecord:
     value: int | None
     elapsed_s: float
     nodes: int
-    sense: str
     retried: bool
 
 
@@ -190,6 +190,7 @@ def load_records(path: str) -> list[ResultRecord]:
 
 
 def _decode(line: str) -> ResultRecord:
+    """One log line; keys that older logs carry beyond ResultRecord's are ignored."""
     raw = json.loads(line)
     return ResultRecord(
         key=raw["key"],
@@ -199,7 +200,6 @@ def _decode(line: str) -> ResultRecord:
         value=raw["value"],
         elapsed_s=raw["elapsed_s"],
         nodes=raw["nodes"],
-        sense=raw["sense"],
         retried=raw["retried"],
     )
 
@@ -243,8 +243,9 @@ def run(
 ) -> list[ResultRecord]:
     """Execute unfinished plan instances, appending durable records as they finish.
 
-    A TimedOut instance is immediately re-run once with the opposite scan
-    sense; both records are appended and the retry one supersedes.
+    time_cap bounds each attempt on its own.  A TimedOut instance is retried
+    once, straight away, under a fresh cap and on the engine's warm dead
+    sets; both records are appended and the retry one supersedes.
     """
     g = graph or parse_graph_spec(p.graph_spec)
     todo = p.instances
@@ -268,29 +269,19 @@ def run(
         for inst in todo:
             if inst.key in done:
                 continue
-            rec = _execute(g, inst, "descending", time_cap, retried=False)
+            rec = _execute(g, inst, deadline_in(time_cap), retried=False)
             new_records.append(rec)
             _append(fh, rec)
             if rec.status == "TimedOut":
-                rec = _execute(g, inst, "ascending", time_cap, retried=True)
+                rec = _execute(g, inst, deadline_in(time_cap), retried=True)
                 new_records.append(rec)
                 _append(fh, rec)
     return new_records
 
 
-def _execute(
-    g: Graph, inst: PlannedInstance, sense: str, time_cap, retried: bool
-) -> ResultRecord:
-    bil = BilevelInstance(
-        g,
-        inst.root,
-        inst.support,
-        lower=inst.lower,
-        upper=inst.upper,
-        sense=sense,
-        time_cap=time_cap,
-    )
-    out = max_unsolvable(bil)
+def _execute(g: Graph, inst: PlannedInstance, deadline, retried: bool) -> ResultRecord:
+    bil = BilevelInstance(g, inst.root, inst.support, lower=inst.lower, upper=inst.upper)
+    out = max_unsolvable(bil, deadline)
     return ResultRecord(
         key=inst.key,
         root=inst.root,
@@ -299,7 +290,6 @@ def _execute(
         value=out.value,
         elapsed_s=out.elapsed,
         nodes=out.nodes,
-        sense=sense,
         retried=retried,
     )
 
@@ -318,9 +308,7 @@ def report(records) -> RunSummary:
         return RunSummary(0, 0, None, None, 0)
     roots = {rec.root for rec in final.values()}
     t_avg = sum(rec.elapsed_s for rec in final.values()) / count
-    incomplete = sum(
-        1 for rec in final.values() if rec.status == "TimedOut" and rec.retried
-    )
+    incomplete = sum(1 for rec in final.values() if rec.status == "TimedOut")
     return RunSummary(
         orbit_count=len(roots),
         instance_count=count,

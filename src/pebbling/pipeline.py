@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass, field
 
 from .configurations import Configuration
-from .follower import engine_for
+from .follower import deadline_in, engine_for
 from .graphs import Graph, cartesian_product
 from .leader import BilevelInstance, max_unsolvable
 from .leader import pi_support as _pi_support
@@ -41,23 +41,19 @@ class PebblingReport:
     instances: list[InstanceResult] = field(default_factory=list)
 
 
-def pi_rooted(g: Graph, r: int, time_cap: float | None = None) -> int:
+def pi_rooted(g: Graph, r: int, deadline: float | None = None) -> int:
     """π(G, r): least m making every size-m configuration r-solvable."""
     support = tuple(v for v in range(g.n) if v != r)
-    return _pi_support(g, r, support, time_cap=time_cap)
+    return _pi_support(g, r, support, deadline)
 
 
-def pi(g: Graph, time_cap: float | None = None) -> int:
+def pi(g: Graph, deadline: float | None = None) -> int:
     """π(G) as the maximum of π(G, r) over one root per automorphism orbit.
 
-    time_cap bounds all roots together; past it, TimeoutError is raised.
+    deadline (time.monotonic() seconds) bounds all roots together; past it,
+    TimeoutError is raised.
     """
-    deadline = time.monotonic() + time_cap if time_cap is not None else None
-    return max(pi_rooted(g, r, _time_left(deadline)) for r in orbit_representatives(g))
-
-
-def _time_left(deadline: float | None) -> float | None:
-    return None if deadline is None else max(deadline - time.monotonic(), 0.0)
+    return max(pi_rooted(g, r, deadline) for r in orbit_representatives(g))
 
 
 def pi_k_upper(
@@ -65,23 +61,22 @@ def pi_k_upper(
     k: int,
     c: int,
     *,
-    lower: int | None = None,
-    class0: bool = False,
+    lower: int = 1,
     sample: int | None = None,
     time_cap: float | None = None,
     seed: int = 0,
 ) -> PebblingReport:
     """Upper-bound π_k(G) via orbit roots, covering designs, and the leader.
 
-    lower (or Class-0 mode's L = |V|) sets the infeasibility threshold: when
+    lower sets the infeasibility threshold L (Class-0 mode is L = |V|): when
     every instance is Infeasible, π_k(G) <= L is certified and L is reported.
+    time_cap bounds each instance on its own.
     With c = k the covering step is lossless and the bound is exact.
     Sampling solves a random subset of instances; the report is then flagged
     incomplete and certifies nothing beyond the sampled instances.
     """
     if not 1 <= k <= c <= g.n - 1:
         raise ValueError(f"need 1 <= k <= c <= n-1, got k={k}, c={c}")
-    L = g.n if class0 else (lower if lower is not None else 1)
     covers = root_covers(g, k, c)
     pool = [(r, s) for r, sets in covers for s in sets]
     chosen = pool
@@ -93,8 +88,8 @@ def pi_k_upper(
     best = None
     complete = sample is None or len(chosen) == len(pool)
     for r, support in chosen:
-        inst = BilevelInstance(g, r, support, lower=L, time_cap=time_cap)
-        out = max_unsolvable(inst)
+        inst = BilevelInstance(g, r, support, lower=lower)
+        out = max_unsolvable(inst, deadline_in(time_cap))
         results.append(
             InstanceResult(r, support, out.status, out.value, out.elapsed, out.nodes)
         )
@@ -108,7 +103,7 @@ def pi_k_upper(
             if best is None or bound > best:
                 best = bound
                 certificate = out.witness
-    value = L if best is None else max(L, best)
+    value = lower if best is None else max(lower, best)
     return PebblingReport(
         graph=g.name,
         quantity="pi_k_upper",
@@ -121,17 +116,17 @@ def pi_k_upper(
 
 
 def two_pebbling_witness(
-    g: Graph, time_cap: float | None = None
+    g: Graph, deadline: float | None = None
 ) -> tuple[Configuration, int] | None:
     """Find (p, r) with |p| = 2π(G) - |Supp(p)| + 1 yet under 2 pebbles on r.
 
     Searching the equality slice is complete: any violator reduces to one
     with equality by removing pebbles from vertices holding at least two,
     and an all-ones violator would need |Supp| > π(G) >= |V|, impossible.
-    Returns None when the graph has the two-pebbling property.
+    Returns None when the graph has the two-pebbling property; past deadline
+    (time.monotonic() seconds) it raises TimeoutError.
     """
-    deadline = time.monotonic() + time_cap if time_cap is not None else None
-    value = pi(g, _time_left(deadline))
+    value = pi(g, deadline)
     group = automorphisms(g)
     for s in range(1, g.n + 1):
         size = 2 * value - s + 1
@@ -182,8 +177,11 @@ def graham_support_check(
     time_cap: float | None = None,
     seed: int = 0,
 ) -> GrahamReport:
-    """Check π_k(g □ h) <= π(g)π(h) by requiring Infeasible at L = π(g)π(h)."""
-    pi_g, pi_h = pi(g, time_cap), pi(h, time_cap)
+    """Check π_k(g □ h) <= π(g)π(h) by requiring Infeasible at L = π(g)π(h).
+
+    time_cap bounds each of π(g), π(h) and the product's instances on its own.
+    """
+    pi_g, pi_h = pi(g, deadline_in(time_cap)), pi(h, deadline_in(time_cap))
     product = cartesian_product(g, h)
     threshold = pi_g * pi_h
     report = pi_k_upper(

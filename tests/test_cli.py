@@ -60,15 +60,6 @@ def test_pis_infeasible(capsys):
     assert "Infeasible" in out
 
 
-def test_pis_ascending_sense(capsys):
-    code, out = run_cli(
-        capsys,
-        "pis", "--graph", "path:3", "--root", "2", "--support", "0", "--sense", "asc",
-    )
-    assert code == 0
-    assert "value 3" in out
-
-
 def test_orbits(capsys):
     code, out = run_cli(capsys, "orbits", "--graph", "cycle:4")
     assert code == 0
@@ -134,8 +125,9 @@ def test_pik_class0(capsys):
 
 
 def test_pik_requires_threshold_mode(capsys):
-    with pytest.raises(SystemExit):
-        main(["pik", "--graph", "cube:3", "--k", "2", "--c", "2", "--class0", "--lower", "3"])
+    for lower in ("3", "1"):
+        with pytest.raises(SystemExit):
+            main(["pik", "--graph", "cube:3", "--k", "2", "--c", "2", "--class0", "--lower", lower])
 
 
 def test_twopp_witness_and_none(capsys):

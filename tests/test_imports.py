@@ -228,3 +228,48 @@ def test_package_public_names_are_all_referenced():
     # an entry leaves the list once the program calls that name
     unused = [entry.split(": ")[1] for entry in _unreferenced_publics(sources, users)]
     assert sorted(unused) == sorted(REFERENCE_CHECKERS)
+
+
+# The per-instance schedulers: each turns time_cap into a fresh deadline for
+# every instance it runs.  Every other time bound is a time.monotonic() deadline.
+TIME_CAP_SCHEDULERS = {"orchestrator.run", "pipeline.pi_k_upper", "pipeline.graham_support_check"}
+
+
+def _time_caps(sources: dict[str, str]) -> list[str]:
+    """Functions with a time_cap parameter and classes with a time_cap field."""
+    found = []
+    for name, source in sources.items():
+        module = name.removesuffix(".py")
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                names = [arg.arg for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs)]
+            elif isinstance(node, ast.ClassDef):
+                names = [
+                    stmt.target.id
+                    for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                ]
+            else:
+                continue
+            if "time_cap" in names:
+                found.append(f"{module}.{node.name}")
+    return found
+
+
+def test_time_cap_detector():
+    sources = {
+        "a.py": (
+            "class Inst:\n    time_cap: float\n    deadline: float\n"
+            "def run(p, *, time_cap=None):\n    pass\n"
+            "def solve(deadline):\n    time_cap = 1\n"
+        ),
+        "b.py": "class C:\n    def m(self, time_cap):\n        pass\n",
+    }
+    assert _time_caps(sources) == ["a.Inst", "a.run", "b.m"]
+
+
+def test_only_the_schedulers_take_a_time_cap():
+    package = Path(pebbling.__file__).parent
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))}
+    assert [name for name in _time_caps(sources) if name not in TIME_CAP_SCHEDULERS] == []

@@ -31,7 +31,6 @@ def _record(key, status="Optimal", elapsed=1.0, retried=False, root=0):
         value=3 if status == "Optimal" else None,
         elapsed_s=elapsed,
         nodes=10,
-        sense="descending",
         retried=retried,
     )
 
@@ -100,7 +99,7 @@ def test_run_executes_and_logs(tmp_path):
     on_disk = load_records(str(out))
     assert [r.key for r in on_disk] == [r.key for r in records]
     assert all(r.status == "Optimal" for r in on_disk)
-    assert all(r.sense == "descending" and not r.retried for r in on_disk)
+    assert not any(r.retried for r in on_disk)
 
 
 def test_rerun_resumes_to_noop(tmp_path):
@@ -149,7 +148,6 @@ def test_torn_trailing_line_ignored(tmp_path):
             "value": 1,
             "elapsed_s": 0.5,
             "nodes": 3,
-            "sense": "descending",
             "retried": False,
         }
     )
@@ -187,7 +185,7 @@ def test_resume_after_torn_line_redoes_instance(tmp_path):
     assert len(out.read_text().splitlines()) == before + 1
 
 
-def test_timeout_retries_with_opposite_sense(tmp_path):
+def test_timeout_retries_once(tmp_path):
     # eight distance-4 support vertices need real search, so a tiny cap trips
     g = catalog("product:lemke1,lemke1")
     support = (18, 19, 20, 21, 23, 26, 27, 28)
@@ -212,7 +210,6 @@ def test_timeout_retries_with_opposite_sense(tmp_path):
     out = tmp_path / "results.jsonl"
     records = run(p, 1e-9, str(out), graph=g)
     assert [r.status for r in records] == ["TimedOut", "TimedOut"]
-    assert [r.sense for r in records] == ["descending", "ascending"]
     assert [r.retried for r in records] == [False, True]
     # both were logged durably and the retried one supersedes
     final = final_records(load_records(str(out)))
@@ -247,10 +244,39 @@ def test_report_counts_unresolved_timeouts():
         _record("k1", status="TimedOut"),
         _record("k1", status="TimedOut", retried=True),
         _record("k2", status="Optimal", root=1),
+        # a worker killed between a TimedOut record and its retry
+        _record("k3", status="TimedOut", root=1),
     ]
     summary = report(recs)
-    assert summary.instance_count == 2
-    assert summary.incomplete == 1
+    assert summary.instance_count == 3
+    assert summary.incomplete == 2
+
+
+# A log written before records lost their scan-order "sense" key: r0:S2 timed
+# out and was settled by its retry.
+OLD_LOG = """\
+{"key": "r0:S1:L1:Ucap", "root": 0, "support": [1], "status": "Optimal", "value": 1, \
+"elapsed_s": 0.0001, "nodes": 3, "sense": "descending", "retried": false}
+{"key": "r0:S2:L1:Ucap", "root": 0, "support": [2], "status": "TimedOut", "value": null, \
+"elapsed_s": 0.5, "nodes": 7, "sense": "descending", "retried": false}
+{"key": "r0:S2:L1:Ucap", "root": 0, "support": [2], "status": "Optimal", "value": 3, \
+"elapsed_s": 0.0001, "nodes": 7, "sense": "ascending", "retried": true}
+{"key": "r1:S0:L1:Ucap", "root": 1, "support": [0], "status": "Optimal", "value": 1, \
+"elapsed_s": 0.0001, "nodes": 3, "sense": "descending", "retried": false}
+"""
+
+
+def test_log_with_sense_keys_loads_and_resumes_to_noop(tmp_path):
+    g = catalog("path:3")
+    p = plan(g, 1, 1, 1, None, workers=1, graph_spec="path:3")
+    out = tmp_path / "results.jsonl"
+    out.write_text(OLD_LOG)
+    records = load_records(str(out))
+    assert [r.status for r in records] == ["Optimal", "TimedOut", "Optimal", "Optimal"]
+    assert set(final_records(records)) == {i.key for i in p.instances}
+    assert report(records).incomplete == 0
+    assert run(p, None, str(out), graph=g) == []
+    assert out.read_text() == OLD_LOG
 
 
 def test_report_superseding_uses_final_elapsed():

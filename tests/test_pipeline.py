@@ -44,7 +44,7 @@ def test_pi_invariant_under_relabeling():
 
 
 def test_pi_k_upper_cube_class0_exact():
-    report = pi_k_upper(catalog("cube:3"), 4, 7, class0=True)
+    report = pi_k_upper(catalog("cube:3"), 4, 7, lower=8)
     assert isinstance(report, PebblingReport)
     assert report.value == 8
     assert report.complete
@@ -108,7 +108,7 @@ def test_two_pebbling_time_cap_covers_the_pebbling_number():
     # pi(cube:4) alone takes many seconds uncapped
     t0 = time.monotonic()
     with pytest.raises(TimeoutError):
-        two_pebbling_witness(catalog("cube:4"), time_cap=0.5)
+        two_pebbling_witness(catalog("cube:4"), time.monotonic() + 0.5)
     assert time.monotonic() - t0 < 5
 
 
