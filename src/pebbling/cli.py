@@ -175,7 +175,7 @@ def cmd_batch(args) -> int:
 
 
 def cmd_report(args) -> int:
-    summary = report(load_records(getattr(args, "in")))
+    summary = report([rec for path in getattr(args, "in") for rec in load_records(path)])
     print(f"orbit_count {summary.orbit_count}")
     print(f"instance_count {summary.instance_count}")
     print(f"t_avg {summary.t_avg if summary.t_avg is not None else 'absent'}")
@@ -279,8 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", action="store_true")
     p.set_defaults(func=cmd_batch)
 
-    p = sub.add_parser("report", help="summarize a result log")
-    p.add_argument("--in", required=True)
+    p = sub.add_parser("report", help="summarize result logs")
+    p.add_argument("--in", required=True, action="append", help="repeat to merge shard logs")
     p.set_defaults(func=cmd_report)
 
     return parser

@@ -9,7 +9,7 @@ Layered decision procedure, sound at every layer:
   2. greedy collapse and stack-merge accepts (constructive move witnesses);
      the merge accept tries, for each pair of stack vertices, only the
      meeting vertices that no earlier vertex matches on all three distances,
-     from a per-pair table built on first use,
+     from a per-pair meeting table built on first use,
   3. exhaustive depth-first search over all weight-feasible moves, with a
      per-goal dead set of residual configurations known to fail; it returns
      the winning move path, which is the certificate of every delivered count.
@@ -17,10 +17,13 @@ Layers 1-2 only ever claim "solvable"; layer 3 is complete.  decide runs
 all three; max_deliverable runs only layer 3, one search per goal, and
 keeps the path of the last goal it reaches.
 
-One engine per (graph, root) lives as long as its graph and shares its dead
-sets across calls, decide's and max_deliverable's alike; a deadline belongs
-to one call.  The flow helpers and bfs_oracle are reference checkers that
-re-verify answers independently.
+One engine per (graph, root) lives as long as its graph and owns three
+tables that it shares across calls: its dead sets (decide's and
+max_deliverable's alike), its meeting table, and its frontier table, which
+holds for each pair of support vertices the leader's exact pair frontier of
+the cheap accepts, probed on first use.  A deadline belongs to one call.
+The flow helpers and bfs_oracle are reference checkers that re-verify
+answers independently.
 """
 
 from __future__ import annotations
@@ -141,6 +144,7 @@ class FollowerEngine:
         ecc = max(self.d)
         self.wt = [1 << (ecc - dv) for dv in self.d]
         self.scale = 1 << ecc
+        self.caps = [(1 << dv) - 1 for dv in self.d]  # most pebbles v holds unsolved alone
         # branching order: heads closer to r first, index ascending on ties
         self.moves = [
             sorted(g.adjacency[u], key=lambda w: (self.d[w], w)) for u in range(self.n)
@@ -152,6 +156,7 @@ class FollowerEngine:
         self.dfs_nodes = 0
         self._dead: dict[int, set] = {}
         self._meet: list[list | None] = [None] * (self.n * self.n)
+        self.fronts: list[tuple | None] = [None] * (self.n * self.n)
 
     # ----- cheap sound accepts (True => solvable; False => unknown) -----
 
@@ -229,6 +234,33 @@ class FollowerEngine:
                 return False
             stacks = [stacks[k] for k in range(len(stacks)) if k not in (bi, bj)]
             stacks.append([bw, bm])
+
+    def frontier(self, u: int, v: int):
+        """Pair frontier of the cheap accepts for stacks on u and v, u first
+        in the leader's (-d, index) order: fwd[a] caps v once u holds a, and
+        back[b] caps u once v holds b.  Exact and monotone: b on v next to a
+        on u is provably solvable from the least such b on, so one less caps
+        v (caps[v] where no b suffices); back inverts that frontier.  Stored
+        in fronts[u * n + v] only once complete."""
+        cu, cv = self.caps[u], self.caps[v]
+        fwd, back = [], [cu] * (cv + 1)
+        probe = [0] * self.n
+        b = filled = cv + 1
+        for a in range(cu + 1):
+            probe[u] = a
+            while b > 0:
+                probe[v] = b - 1
+                if self.decide_cheap(probe):
+                    b -= 1
+                else:
+                    break
+            fwd.append(b - 1)
+            # a is the least count on u that b..filled-1 on v solve
+            for bb in range(b, filled):
+                back[bb] = a - 1
+            filled = b
+        self.fronts[u * self.n + v] = fwd, back
+        return fwd, back
 
     def _accepts(self, q, goal) -> bool:
         """Layers 1-2 in cost order; True means solvable."""

@@ -4,13 +4,14 @@ The size-indexed existence predicate E(m) = "some r-unsolvable configuration
 of size m with support within S exists" is monotone downward (removing a
 pebble keeps a configuration unsolvable), so a single failed probe at the
 lower cut proves infeasibility, and a binary search finds the maximum
-feasible size.
+feasible size.  A lower cut above the support's capacity sum(2^dist - 1)
+is Infeasible before any frontier is read or built.
 
 Per-size search enumerates compositions over the support, restricted by
 per-vertex solvability caps (2^dist - 1), and prunes with:
-  - precomputed pairwise frontiers: for each support pair, the exact
-    threshold where the cheap accepts prove two stacks solvable; placed
-    stacks then cap every remaining vertex by table lookup,
+  - pairwise frontiers: for each support pair, the exact threshold where
+    the cheap accepts prove two stacks solvable, from the engine's frontier
+    table; placed stacks then cap every remaining vertex by table lookup,
   - capacity windows over remaining vertices, further tightened by what the
     two largest placed stacks can merge onto each remaining vertex,
   - learned dominance cores: solvable configurations pruning their entire
@@ -78,7 +79,7 @@ class _Search:
         self.scale = self.eng.scale
         # big stacks first: far vertices carry the discriminating mass
         self.sup = sorted(inst.support, key=lambda v: (-self.d[v], v))
-        self.caps = [(1 << self.d[v]) - 1 for v in self.sup]
+        self.caps = [self.eng.caps[v] for v in self.sup]
         s = len(self.sup)
         # dominance index; bit c stands for the c-th learned core
         self.ncores = 0
@@ -94,38 +95,24 @@ class _Search:
             raise TimeoutError("leader deadline elapsed")
 
     def _pair_frontiers(self):
-        """cut[i][a][j]: the cap on sup[j] once sup[i] holds a pebbles.
-
-        Frontiers of the cheap accepts, exact and monotone: b pebbles on sup[j]
-        next to a on sup[i] are provably solvable from the least such b on,
-        so one less caps sup[j]; caps[j] where no b suffices, and on j = i.
-        Each unordered pair is probed once; the transpose is derived by
-        frontier inversion.
-        """
-        s, sup, caps = len(self.sup), self.sup, self.caps
+        """cut[i][a][j]: the cap on sup[j] once sup[i] holds a pebbles, from
+        the engine's frontier table; a pair it lacks is probed, counted as one
+        node and followed by a deadline check.  caps[j] on j = i."""
+        sup, caps, eng, n = self.sup, self.caps, self.eng, self.n
         cut = [[list(caps) for _ in range(c + 1)] for c in caps]
-        probe = [0] * self.n
-        cheap = self.eng.decide_cheap
-        for i in range(s):
-            for j in range(i + 1, s):
-                u, v = sup[i], sup[j]
-                b = filled = caps[j] + 1
-                for a in range(caps[i] + 1):
-                    probe[u] = a
-                    while b > 0:
-                        probe[v] = b - 1
-                        if cheap(probe):
-                            b -= 1
-                        else:
-                            break
-                    cut[i][a][j] = b - 1
-                    # a is the least count on u that b..filled-1 on v solve
-                    for bb in range(b, filled):
-                        cut[j][bb][i] = a - 1
-                    filled = b
-                probe[u] = probe[v] = 0
-                self.nodes += 1
-                self.check_time()
+        for i, u in enumerate(sup):
+            for j in range(i + 1, len(sup)):
+                v = sup[j]
+                pair = eng.fronts[u * n + v]
+                if pair is None:
+                    pair = eng.frontier(u, v)
+                    self.nodes += 1
+                    self.check_time()
+                fwd, back = pair
+                for a, c in enumerate(fwd):
+                    cut[i][a][j] = c
+                for b, c in enumerate(back):
+                    cut[j][b][i] = c
         return cut
 
     def learn_core(self, items):
@@ -258,15 +245,15 @@ def max_unsolvable(inst: BilevelInstance, deadline: float | None = None) -> Bile
             nodes=nodes + (eng.calls - calls0),
         )
 
-    # building the search already probes pair frontiers under the deadline
+    lower = inst.lower
+    upper = sum(eng.caps[v] for v in inst.support)
+    if inst.upper is not None:
+        upper = min(upper, inst.upper)
+    if lower > upper:
+        return result("Infeasible")
+    # building the search probes missing pair frontiers under the deadline
     try:
         search = _Search(inst, deadline)
-        lower = inst.lower
-        upper = sum(search.caps)
-        if inst.upper is not None:
-            upper = min(upper, inst.upper)
-        if lower > upper:
-            return result("Infeasible")
         best = search.find_witness(lower)
         if best is None:
             # monotone E: no witness at the lower cut rules out every larger size

@@ -183,6 +183,33 @@ def test_batch_shard_argument(tmp_path, capsys):
     assert code == 0
 
 
+def test_report_merges_shard_logs(tmp_path, capsys):
+    plan_path = tmp_path / "plan.json"
+    logs = [tmp_path / "w0.jsonl", tmp_path / "w1.jsonl"]
+    code, out = run_cli(
+        capsys,
+        "plan", "--graph", "path:3", "--k", "1", "--c", "1",
+        "--lower", "1", "--workers", "2", "--out", str(plan_path),
+    )
+    assert code == 0 and "instances 3" in out
+    for shard, log in enumerate(logs):
+        code, _ = run_cli(
+            capsys,
+            "batch", "--plan", str(plan_path), "--shard", f"{shard}/2", "--out", str(log),
+        )
+        assert code == 0
+    counts = [len(log.read_text().splitlines()) for log in logs]
+    assert counts in ([1, 2], [2, 1])
+    code, out = run_cli(capsys, "report", "--in", str(logs[0]), "--in", str(logs[1]))
+    assert code == 0
+    assert "orbit_count 2" in out and "instance_count 3" in out
+    # a damaged line in either log still fails the whole report, naming its file
+    text = logs[1].read_text()
+    logs[1].write_text(text[: len(text) // 2] + "\n" + text)
+    assert main(["report", "--in", str(logs[0]), "--in", str(logs[1])]) == 2
+    assert "w1.jsonl:1: damaged" in capsys.readouterr().err
+
+
 def test_edge_list_file_via_cli(tmp_path, capsys):
     graph_file = tmp_path / "g.txt"
     graph_file.write_text("3 2\n0 1\n1 2\n# tail comment\n")

@@ -7,7 +7,13 @@ import pytest
 
 from pebbling.follower import engine_for
 from pebbling.graphs import Graph, catalog
-from pebbling.leader import BilevelInstance, BilevelOutcome, max_unsolvable, pi_support
+from pebbling.leader import (
+    BilevelInstance,
+    BilevelOutcome,
+    _Search,
+    max_unsolvable,
+    pi_support,
+)
 
 
 def test_instance_validation():
@@ -36,6 +42,14 @@ def test_lower_above_capacity_is_infeasible():
     out = max_unsolvable(inst)
     assert out.status == "Infeasible"
     assert out.value is None and out.witness is None
+    # L×L root 3, eight vertices whose caps sum to 60: settled before any
+    # pair frontier is probed, so neither the leader nor the engine works
+    g = catalog("product:lemke1,lemke1")
+    eng = engine_for(g, 3)
+    calls = eng.calls
+    out = max_unsolvable(BilevelInstance(g, 3, (0, 1, 5, 8, 9, 13, 16, 17), lower=64))
+    assert (out.status, out.nodes) == ("Infeasible", 0)
+    assert eng.calls == calls
 
 
 def test_path3_single_support():
@@ -197,7 +211,10 @@ def test_max_unsolvable_agrees_with_exhaustive_small():
 
 # BilevelOutcome.nodes (leader nodes plus follower calls) on fixed instances:
 # any change in what the pair frontiers, the two-stack tightening (ties
-# included) or the dominance cores (CORE_LIMIT included) cut moves these counts
+# included) or the dominance cores (CORE_LIMIT included) cut moves these counts.
+# CUBE3_NODES gives each support a fresh graph, so every pair frontier is
+# probed; CUBE3_SHARED_NODES runs the same supports in order on one graph,
+# where a pair an earlier support probed costs neither a node nor a call
 CUBE3_NODES = [
     10, 13, 10, 13, 14, 19, 13, 10, 14, 13, 19, 14, 17, 17, 23, 13,
     13, 19, 17, 23, 23, 23, 21, 26, 25, 33, 26, 34, 35, 44, 23, 25,
@@ -205,6 +222,14 @@ CUBE3_NODES = [
     43, 42, 48, 48, 34, 44, 44, 48, 38, 52, 51, 62, 37, 36, 50, 49,
     61, 61, 50, 49, 61, 64, 72, 71, 51, 62, 61, 71, 49, 50, 61, 62,
     71, 72, 49, 61, 62, 71, 60, 71, 71, 105, 72,
+]
+CUBE3_SHARED_NODES = [
+    10, 13, 10, 13, 14, 19, 13, 10, 14, 13, 19, 14, 17, 17, 23, 13,
+    13, 19, 17, 23, 23, 8, 12, 12, 11, 10, 12, 15, 17, 16, 8, 11,
+    10, 17, 16, 16, 12, 17, 15, 16, 11, 8, 10, 15, 16, 16, 15, 15,
+    16, 21, 17, 17, 15, 16, 16, 17, 12, 19, 18, 15, 11, 10, 11, 17,
+    15, 15, 17, 17, 15, 26, 19, 19, 18, 15, 15, 19, 17, 17, 15, 24,
+    19, 19, 16, 15, 15, 19, 22, 19, 19, 48, 19,
 ]
 PINNED = [
     ("lemke1", 0, (1, 2), 3, 13),
@@ -224,13 +249,40 @@ PINNED = [
 
 
 def test_leader_node_counts_are_pinned():
-    g = catalog("cube:3")
     supports = [S for k in (2, 3, 4) for S in combinations(range(1, 8), k)]
-    nodes = [max_unsolvable(BilevelInstance(g, 0, S)).nodes for S in supports]
+    nodes = [max_unsolvable(BilevelInstance(catalog("cube:3"), 0, S)).nodes for S in supports]
     assert nodes == CUBE3_NODES
+    g = catalog("cube:3")
+    nodes = [max_unsolvable(BilevelInstance(g, 0, S)).nodes for S in supports]
+    assert nodes == CUBE3_SHARED_NODES
     for spec, r, support, value, count in PINNED:
         out = max_unsolvable(BilevelInstance(catalog(spec), r, support))
         assert (out.status, out.value, out.nodes) == ("Optimal", value, count), support
     g6 = Graph(6, [(0, 1), (1, 2), (1, 3), (2, 3), (2, 4), (4, 5)])
     out = max_unsolvable(BilevelInstance(g6, 0, (2, 3, 4, 5)))
     assert (out.status, out.value, out.nodes) == ("Optimal", 16, 137)
+
+
+def test_warm_frontier_table_matches_cold():
+    # every support of size 2-4 at two roots, on one graph shared by all
+    # instances (its table warm from the supports before) and on one whose
+    # table a timed-out instance left partial: verdicts, witnesses and pair
+    # frontier caps equal those of a fresh graph per instance
+    for spec, roots in (("lemke1", (0, 3)), ("cube:4", (0, 5)),
+                        ("product:path:2,cycle:4", (0, 5))):
+        warm, cut_short = catalog(spec), catalog(spec)
+        for r in roots:
+            others = tuple(v for v in range(warm.n) if v != r)
+            out = max_unsolvable(BilevelInstance(cut_short, r, others), time.monotonic() + 1e-6)
+            assert out.status == "TimedOut"
+            stored = sum(f is not None for f in engine_for(cut_short, r).fronts)
+            assert 0 < stored < len(others) * (len(others) - 1) // 2
+            for S in (S for k in (2, 3, 4) for S in combinations(others, k)):
+                fresh = BilevelInstance(catalog(spec), r, S)
+                cold = max_unsolvable(fresh)
+                cold_cut = _Search(fresh, None).cut  # the pairs cold just probed
+                for g in (warm, cut_short):
+                    out = max_unsolvable(BilevelInstance(g, r, S))
+                    assert (out.status, out.value, out.witness) == (
+                        cold.status, cold.value, cold.witness), (spec, r, S)
+                    assert _Search(BilevelInstance(g, r, S), None).cut == cold_cut, (spec, r, S)
