@@ -119,10 +119,7 @@ def cmd_pik(args) -> int:
     )
     print(f"value {rep.value}")
     print(f"complete {rep.complete}")
-    statuses = {}
-    for inst in rep.instances:
-        statuses[inst.status] = statuses.get(inst.status, 0) + 1
-    for status, count in sorted(statuses.items()):
+    for status, count in report(rep.instances).statuses.items():
         print(f"{status} {count}")
     return 0
 
@@ -181,6 +178,8 @@ def cmd_report(args) -> int:
     print(f"t_avg {summary.t_avg if summary.t_avg is not None else 'absent'}")
     print(f"t_total {summary.t_total if summary.t_total is not None else 'absent'}")
     print(f"incomplete {summary.incomplete}")
+    for status, count in summary.statuses.items():
+        print(f"{status} {count}")
     return 0
 
 
@@ -289,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # solve, pis, pi and twopp bound the whole call; pik, graham and batch
-    # pass time_cap on, to bound each instance on its own
+    # pass time_cap on, to bound each attempt at an instance on its own
     args.deadline = deadline_in(getattr(args, "time_cap", None))
     try:
         return args.func(args)

@@ -1,17 +1,21 @@
-"""Batch execution of leader instances: plans, shards, resumable logs, summaries.
+"""Execution of leader instances: plans, shards, resumable logs, summaries.
 
-Plans assign whole roots to workers, round-robin by descending cover size,
-so per-worker loads stay balanced.  Results append to a JSON-lines log as
-each instance finishes; a killed run resumes by skipping keys whose final
-record is already on disk.  Multi-machine operation is file-based: each
-machine takes one shard of the same plan and writes its own log.
+`execute` is the one runner of leader instances: each attempt gets its own
+cap, a TimedOut one is retried once, and every attempt yields a
+`ResultRecord`.  `run` appends them to a JSON-lines log as they arrive, and
+`pipeline.pi_k_upper` reads them back.  Plans assign whole roots to workers,
+round-robin by descending cover size, so per-worker loads stay balanced.  A
+killed run resumes by skipping keys whose final record is already on disk.
+Multi-machine operation is file-based: each machine takes one shard of the
+same plan and writes its own log.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from collections import Counter
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from .covering import greedy_cover
 from .follower import deadline_in
@@ -54,6 +58,8 @@ class ResultRecord:
     elapsed_s: float
     nodes: int
     retried: bool
+    # Optimal only: the witness's pebble count on each support vertex
+    witness: tuple[int, ...] | None = None
 
 
 @dataclass
@@ -62,7 +68,11 @@ class RunSummary:
     instance_count: int
     t_avg: float | None
     t_total: float | None
-    incomplete: int
+    statuses: dict[str, int]  # final records per status, by status name
+
+    @property
+    def incomplete(self) -> int:
+        return self.statuses.get("TimedOut", 0)
 
 
 def instance_key(root: int, support, lower: int, upper: int | None) -> str:
@@ -141,30 +151,48 @@ def save_plan(p: JobPlan, path: str):
 
 
 def load_plan(path: str) -> JobPlan:
+    """Read a plan; a missing or mistyped field raises ValueError naming the file."""
     with open(path) as fh:
         payload = json.load(fh)
-    if payload.get("version") != PLAN_FORMAT_VERSION:
-        raise ValueError(f"unsupported plan version {payload.get('version')!r}")
-    instances = [
-        PlannedInstance(
-            key=i["key"],
-            root=i["root"],
-            support=tuple(i["support"]),
-            lower=i["lower"],
-            upper=i["upper"],
-            worker=i["worker"],
-        )
-        for i in payload["instances"]
+    version = payload.get("version") if isinstance(payload, dict) else None
+    if version != PLAN_FORMAT_VERSION:
+        raise ValueError(f"{path}: unsupported plan version {version!r}")
+    p = _from_json(JobPlan, payload, path)
+    p.instances = [
+        _from_json(PlannedInstance, i, f"{path}: instance {n}") for n, i in enumerate(p.instances)
     ]
-    return JobPlan(
-        graph_spec=payload["graph_spec"],
-        k=payload["k"],
-        c=payload["c"],
-        lower=payload["lower"],
-        upper=payload["upper"],
-        workers=payload["workers"],
-        instances=instances,
-    )
+    return p
+
+
+def _from_json(cls, raw, where: str):
+    """A plan, plan instance or log record from its JSON object: other keys
+    are ignored, a field with a default may be absent (an older log's
+    `witness`), and a missing or mistyped field raises ValueError naming where."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{where}: not a JSON object")
+    values = {}
+    for f in fields(cls):
+        if f.name not in raw and f.default is not MISSING:
+            continue
+        if f.name not in raw or not _fits(raw[f.name], f.type):
+            raise ValueError(f"{where}: field {f.name!r} is missing or not {f.type}")
+        value = raw[f.name]
+        values[f.name] = tuple(value) if isinstance(value, list) and "tuple" in f.type else value
+    return cls(**values)
+
+
+def _fits(value, annotation: str) -> bool:
+    """Whether a JSON value can fill a field so annotated: a list stands for
+    a list or a tuple[int, ...], an int for a float, and a bool for no int."""
+    scalars = {"None": type(None), "bool": bool, "int": int, "str": str}
+    for kind in annotation.split(" | "):
+        if kind == "float" and type(value) in (int, float):
+            return True
+        if kind == "tuple[int, ...]" and type(value) is list:
+            return all(type(v) is int for v in value)
+        if (kind.startswith("list[") and type(value) is list) or type(value) is scalars.get(kind):
+            return True
+    return False
 
 
 def load_records(path: str) -> list[ResultRecord]:
@@ -182,26 +210,11 @@ def load_records(path: str) -> list[ResultRecord]:
             if not line.strip():
                 continue
             try:
-                records.append(_decode(line))
-            except (ValueError, KeyError, TypeError):
+                records.append(_from_json(ResultRecord, json.loads(line), path))
+            except ValueError:
                 if line.endswith("\n"):
                     raise ValueError(f"{path}:{lineno}: damaged record") from None
     return records
-
-
-def _decode(line: str) -> ResultRecord:
-    """One log line; keys that older logs carry beyond ResultRecord's are ignored."""
-    raw = json.loads(line)
-    return ResultRecord(
-        key=raw["key"],
-        root=raw["root"],
-        support=tuple(raw["support"]),
-        status=raw["status"],
-        value=raw["value"],
-        elapsed_s=raw["elapsed_s"],
-        nodes=raw["nodes"],
-        retried=raw["retried"],
-    )
 
 
 def _seal_tail(path: str):
@@ -214,8 +227,8 @@ def _seal_tail(path: str):
         if data and not data.endswith(b"\n"):
             start = data.rfind(b"\n") + 1
             try:
-                _decode(data[start:].decode())
-            except (ValueError, KeyError, TypeError):
+                _from_json(ResultRecord, json.loads(data[start:]), path)
+            except ValueError:
                 fh.truncate(start)
             else:
                 fh.write(b"\n")
@@ -223,14 +236,7 @@ def _seal_tail(path: str):
 
 def final_records(records) -> dict[str, ResultRecord]:
     """Latest record per key; a retried record supersedes its TimedOut one."""
-    out: dict[str, ResultRecord] = {}
-    for rec in records:
-        out[rec.key] = rec
-    return out
-
-
-def _is_settled(rec: ResultRecord) -> bool:
-    return rec.status != "TimedOut" or rec.retried
+    return {rec.key: rec for rec in records}
 
 
 def run(
@@ -243,9 +249,8 @@ def run(
 ) -> list[ResultRecord]:
     """Execute unfinished plan instances, appending durable records as they finish.
 
-    time_cap bounds each attempt on its own.  A TimedOut instance is retried
-    once, straight away, under a fresh cap and on the engine's warm dead
-    sets; both records are appended and the retry one supersedes.
+    Every record `execute` yields, a TimedOut one and its retry alike, is
+    appended before the next attempt starts; the retry record supersedes.
     """
     g = graph or parse_graph_spec(p.graph_spec)
     todo = p.instances
@@ -256,27 +261,30 @@ def run(
         if not 0 <= index < width:
             raise ValueError(f"shard index {index} out of range")
         todo = [i for i in todo if i.worker == index]
-    done = {}
     if resume:
-        done = {
-            key: rec
-            for key, rec in final_records(load_records(out_path)).items()
-            if _is_settled(rec)
-        }
+        final = final_records(load_records(out_path)).values()
+        settled = {rec.key for rec in final if rec.status != "TimedOut" or rec.retried}
+        todo = [i for i in todo if i.key not in settled]
     new_records = []
     _seal_tail(out_path)
     with open(out_path, "a") as fh:
-        for inst in todo:
-            if inst.key in done:
-                continue
-            rec = _execute(g, inst, deadline_in(time_cap), retried=False)
+        for rec in execute(g, todo, time_cap):
             new_records.append(rec)
             _append(fh, rec)
-            if rec.status == "TimedOut":
-                rec = _execute(g, inst, deadline_in(time_cap), retried=True)
-                new_records.append(rec)
-                _append(fh, rec)
     return new_records
+
+
+def execute(g: Graph, instances, time_cap: float | None):
+    """Solve each instance on g, yielding a record per attempt.
+
+    time_cap bounds each attempt on its own.  A TimedOut instance is retried
+    once, straight away, under a fresh cap and on the engine's warm tables.
+    """
+    for inst in instances:
+        rec = _execute(g, inst, deadline_in(time_cap), retried=False)
+        yield rec
+        if rec.status == "TimedOut":
+            yield _execute(g, inst, deadline_in(time_cap), retried=True)
 
 
 def _execute(g: Graph, inst: PlannedInstance, deadline, retried: bool) -> ResultRecord:
@@ -291,6 +299,7 @@ def _execute(g: Graph, inst: PlannedInstance, deadline, retried: bool) -> Result
         elapsed_s=out.elapsed,
         nodes=out.nodes,
         retried=retried,
+        witness=None if out.witness is None else tuple(out.witness[v] for v in inst.support),
     )
 
 
@@ -302,17 +311,12 @@ def _append(fh, rec: ResultRecord):
 
 def report(records) -> RunSummary:
     """Aggregate final records into summary metrics: t_total = t_avg * count."""
-    final = final_records(records)
-    count = len(final)
-    if count == 0:
-        return RunSummary(0, 0, None, None, 0)
-    roots = {rec.root for rec in final.values()}
-    t_avg = sum(rec.elapsed_s for rec in final.values()) / count
-    incomplete = sum(1 for rec in final.values() if rec.status == "TimedOut")
+    final = list(final_records(records).values())
+    t_avg = sum(rec.elapsed_s for rec in final) / len(final) if final else None
     return RunSummary(
-        orbit_count=len(roots),
-        instance_count=count,
+        orbit_count=len({rec.root for rec in final}),
+        instance_count=len(final),
         t_avg=t_avg,
-        t_total=t_avg * count,
-        incomplete=incomplete,
+        t_total=None if t_avg is None else t_avg * len(final),
+        statuses=dict(sorted(Counter(rec.status for rec in final).items())),
     )

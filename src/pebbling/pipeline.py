@@ -2,43 +2,39 @@
 
 Rooted and global pebbling numbers, support-k upper bounds through orbit
 and covering reduction, the two-pebbling-property witness search, and the
-product consistency check against the factor-product bound.
+product consistency check against the factor-product bound.  The last two
+run their leader instances through `orchestrator.execute`, as `batch` does.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .configurations import Configuration
 from .follower import deadline_in, engine_for
 from .graphs import Graph, cartesian_product
-from .leader import BilevelInstance, max_unsolvable
 from .leader import pi_support as _pi_support
-from .orchestrator import root_covers
+from .orchestrator import (
+    PlannedInstance,
+    ResultRecord,
+    execute,
+    final_records,
+    instance_key,
+    report,
+    root_covers,
+)
 from .symmetry import automorphisms, orbit_representatives, subset_orbit_reps
 
 
 @dataclass
-class InstanceResult:
-    root: int
-    support: tuple[int, ...]
-    status: str
-    value: int | None
-    elapsed: float
-    nodes: int
-
-
-@dataclass
 class PebblingReport:
-    graph: str
-    quantity: str
-    value: int | None
-    per_root: dict[int, int | None] = field(default_factory=dict)
-    certificate: Configuration | None = None
-    complete: bool = True
-    instances: list[InstanceResult] = field(default_factory=list)
+    value: int
+    per_root: dict[int, int | None]
+    certificate: Configuration | None
+    complete: bool
+    instances: list[ResultRecord]  # every attempt; a retry follows its TimedOut one
 
 
 def pi_rooted(g: Graph, r: int, deadline: float | None = None) -> int:
@@ -70,7 +66,8 @@ def pi_k_upper(
 
     lower sets the infeasibility threshold L (Class-0 mode is L = |V|): when
     every instance is Infeasible, π_k(G) <= L is certified and L is reported.
-    time_cap bounds each instance on its own.
+    time_cap bounds each attempt on its own; a TimedOut instance is retried
+    once, and one whose retry times out too leaves the report incomplete.
     With c = k the covering step is lossless and the bound is exact.
     Sampling solves a random subset of instances; the report is then flagged
     incomplete and certifies nothing beyond the sampled instances.
@@ -82,36 +79,26 @@ def pi_k_upper(
     chosen = pool
     if sample is not None and sample < len(pool):
         chosen = random.Random(seed).sample(pool, sample)
-    results: list[InstanceResult] = []
+    planned = [
+        PlannedInstance(instance_key(r, s, lower, None), r, tuple(s), lower, None, worker=0)
+        for r, s in chosen
+    ]
+    records = list(execute(g, planned, time_cap))
+    optimal = [rec for rec in final_records(records).values() if rec.status == "Optimal"]
     per_root: dict[int, int | None] = {r: None for r, _ in covers}
+    for rec in optimal:
+        per_root[rec.root] = max(per_root[rec.root] or 0, rec.value + 1)
+    # the first of the largest witnesses certifies the bound
+    best = max(optimal, key=lambda rec: rec.value, default=None)
     certificate = None
-    best = None
-    complete = sample is None or len(chosen) == len(pool)
-    for r, support in chosen:
-        inst = BilevelInstance(g, r, support, lower=lower)
-        out = max_unsolvable(inst, deadline_in(time_cap))
-        results.append(
-            InstanceResult(r, support, out.status, out.value, out.elapsed, out.nodes)
-        )
-        if out.status == "TimedOut":
-            complete = False
-            continue
-        if out.status == "Optimal":
-            bound = out.value + 1
-            if per_root[r] is None or bound > per_root[r]:
-                per_root[r] = bound
-            if best is None or bound > best:
-                best = bound
-                certificate = out.witness
-    value = lower if best is None else max(lower, best)
+    if best is not None:
+        certificate = Configuration.from_map(g.n, dict(zip(best.support, best.witness)))
     return PebblingReport(
-        graph=g.name,
-        quantity="pi_k_upper",
-        value=value,
+        value=lower if best is None else max(lower, best.value + 1),
         per_root=per_root,
         certificate=certificate,
-        complete=complete,
-        instances=results,
+        complete=len(chosen) == len(pool) and report(records).incomplete == 0,
+        instances=records,
     )
 
 
@@ -158,13 +145,11 @@ def _compositions(total: int, parts: int):
 
 @dataclass
 class GrahamReport:
-    graph: str
     pi_g: int
     pi_h: int
     threshold: int
     consistent: bool
     complete: bool
-    instances: list[InstanceResult]
 
 
 def graham_support_check(
@@ -184,17 +169,14 @@ def graham_support_check(
     pi_g, pi_h = pi(g, deadline_in(time_cap)), pi(h, deadline_in(time_cap))
     product = cartesian_product(g, h)
     threshold = pi_g * pi_h
-    report = pi_k_upper(
+    bound = pi_k_upper(
         product, k, c, lower=threshold, sample=sample, time_cap=time_cap, seed=seed
     )
-    finished = [i for i in report.instances if i.status != "TimedOut"]
-    consistent = all(i.status == "Infeasible" for i in finished)
     return GrahamReport(
-        graph=product.name,
         pi_g=pi_g,
         pi_h=pi_h,
         threshold=threshold,
-        consistent=consistent,
-        complete=report.complete,
-        instances=report.instances,
+        # a TimedOut instance leaves the check open but does not fail it
+        consistent=all(rec.status != "Optimal" for rec in bound.instances),
+        complete=bound.complete,
     )

@@ -124,6 +124,15 @@ def test_pik_class0(capsys):
     assert "complete" in out
 
 
+def test_pik_retries_and_counts_timed_out_instances(capsys):
+    # cube:3 has one root orbit, and c = n - 1 gives it one cover set
+    code, out = run_cli(
+        capsys, "pik", "--graph", "cube:3", "--k", "4", "--c", "7", "--time-cap", "1e-6"
+    )
+    assert code == 0
+    assert out.splitlines() == ["value 1", "complete False", "TimedOut 1"]
+
+
 def test_pik_requires_threshold_mode(capsys):
     for lower in ("3", "1"):
         with pytest.raises(SystemExit):
@@ -203,6 +212,7 @@ def test_report_merges_shard_logs(tmp_path, capsys):
     code, out = run_cli(capsys, "report", "--in", str(logs[0]), "--in", str(logs[1]))
     assert code == 0
     assert "orbit_count 2" in out and "instance_count 3" in out
+    assert out.splitlines()[-1] == "Optimal 3"
     # a damaged line in either log still fails the whole report, naming its file
     text = logs[1].read_text()
     logs[1].write_text(text[: len(text) // 2] + "\n" + text)
@@ -223,3 +233,21 @@ def test_unknown_graph_errors(capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "unknown generator" in err
+
+
+def test_malformed_plan_is_a_clean_error(tmp_path, capsys):
+    plan_path = tmp_path / "plan.json"
+    run_cli(
+        capsys,
+        "plan", "--graph", "path:3", "--k", "1", "--c", "1",
+        "--lower", "1", "--out", str(plan_path),
+    )
+    payload = json.loads(plan_path.read_text())
+    no_instances = {key: value for key, value in payload.items() if key != "instances"}
+    del payload["instances"][1]["worker"]
+    for broken, named in ((no_instances, "field 'instances'"), (payload, "instance 1: field 'worker'")):
+        plan_path.write_text(json.dumps(broken))
+        code = main(["batch", "--plan", str(plan_path), "--out", str(tmp_path / "log.jsonl")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {plan_path}: ") and named in err

@@ -232,7 +232,12 @@ def test_package_public_names_are_all_referenced():
 
 # The per-instance schedulers: each turns time_cap into a fresh deadline for
 # every instance it runs.  Every other time bound is a time.monotonic() deadline.
-TIME_CAP_SCHEDULERS = {"orchestrator.run", "pipeline.pi_k_upper", "pipeline.graham_support_check"}
+TIME_CAP_SCHEDULERS = {
+    "orchestrator.run",
+    "orchestrator.execute",
+    "pipeline.pi_k_upper",
+    "pipeline.graham_support_check",
+}
 
 
 def _time_caps(sources: dict[str, str]) -> list[str]:
@@ -273,3 +278,51 @@ def test_only_the_schedulers_take_a_time_cap():
     package = Path(pebbling.__file__).parent
     sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))}
     assert [name for name in _time_caps(sources) if name not in TIME_CAP_SCHEDULERS] == []
+
+
+# The sites that turn a time_cap into a deadline: the instance runner (each
+# attempt), the product check (each factor's pi) and the CLI (whole commands).
+DEADLINE_MINTERS = {"orchestrator.execute", "pipeline.graham_support_check", "cli.main"}
+
+
+def _deadline_sites(sources: dict[str, str]) -> list[str]:
+    """module.function of the innermost def around each deadline_in call
+    (methods by their own name), or the module for a call at module level."""
+    sites = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{where.split('.')[0]}.{child.name}")
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "deadline_in":
+                    sites.append(where)
+            visit(child, where)
+
+    for name, source in sources.items():
+        visit(ast.parse(source), name.removesuffix(".py"))
+    return sites
+
+
+def test_deadline_site_detector():
+    sources = {
+        "a.py": (
+            "from f import deadline_in\n"
+            "D = deadline_in(1)\n"
+            "def run(cap):\n"
+            "    def attempt():\n        return deadline_in(cap)\n"
+            "    return attempt(), f.deadline_in(cap)\n"
+            "def solve(deadline):\n    return deadline\n"
+        ),
+        "b.py": "class C:\n    def m(self, cap):\n        return [deadline_in(cap)]\n",
+    }
+    assert _deadline_sites(sources) == ["a", "a.attempt", "a.run", "b.m"]
+
+
+def test_only_the_minters_call_deadline_in():
+    package = Path(pebbling.__file__).parent
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))}
+    assert [site for site in _deadline_sites(sources) if site not in DEADLINE_MINTERS] == []

@@ -90,6 +90,30 @@ def test_load_plan_rejects_other_versions(tmp_path):
         load_plan(str(path))
 
 
+@pytest.mark.parametrize(
+    "where, edit",
+    [
+        ("plan", lambda p: p.pop("instances")),
+        ("plan", lambda p: p.update(k=True)),
+        ("plan", lambda p: p.update(upper="cap")),
+        ("instance 0", lambda p: p["instances"][0].pop("worker")),
+        ("instance 0", lambda p: p["instances"][0].update(root="0")),
+        ("instance 0", lambda p: p["instances"][0].update(support=[1.5])),
+        ("instance 0", lambda p: p["instances"].__setitem__(0, [])),
+    ],
+)
+def test_load_plan_names_a_missing_or_mistyped_field(tmp_path, where, edit):
+    path = tmp_path / "plan.json"
+    save_plan(plan(catalog("path:3"), 1, 1, 1, None, workers=1), str(path))
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    prefix = f"{path}: " + ("" if where == "plan" else f"{where}: ")
+    with pytest.raises(ValueError) as err:
+        load_plan(str(path))
+    assert str(err.value).startswith(prefix)
+
+
 def test_run_executes_and_logs(tmp_path):
     g = catalog("path:3")
     p = plan(g, 1, 1, 1, None, workers=1, graph_spec="path:3")
@@ -100,6 +124,23 @@ def test_run_executes_and_logs(tmp_path):
     assert [r.key for r in on_disk] == [r.key for r in records]
     assert all(r.status == "Optimal" for r in on_disk)
     assert not any(r.retried for r in on_disk)
+
+
+def test_optimal_witness_survives_the_log(tmp_path):
+    # path:3 at L = 1: every instance is Optimal, one at L = 4 is Infeasible
+    g = catalog("path:3")
+    p = plan(g, 1, 2, 1, None, workers=1, graph_spec="path:3")
+    p.instances.append(
+        PlannedInstance(instance_key(0, (1,), 4, None), 0, (1,), 4, None, worker=0)
+    )
+    out = tmp_path / "results.jsonl"
+    records = run(p, None, str(out), graph=g)
+    assert [r.status for r in records] == ["Optimal"] * (len(records) - 1) + ["Infeasible"]
+    assert records[-1].witness is None
+    for rec in records[:-1]:
+        # one count per support vertex, summing to the largest unsolvable size
+        assert len(rec.witness) == len(rec.support) and sum(rec.witness) == rec.value
+    assert load_records(str(out)) == records
 
 
 def test_rerun_resumes_to_noop(tmp_path):
@@ -253,7 +294,8 @@ def test_report_counts_unresolved_timeouts():
 
 
 # A log written before records lost their scan-order "sense" key: r0:S2 timed
-# out and was settled by its retry.
+# out and was settled by its retry.  Its last line, a repeat of r1:S0 written
+# later without resume, has no "sense" and, like every line, no "witness".
 OLD_LOG = """\
 {"key": "r0:S1:L1:Ucap", "root": 0, "support": [1], "status": "Optimal", "value": 1, \
 "elapsed_s": 0.0001, "nodes": 3, "sense": "descending", "retried": false}
@@ -263,6 +305,8 @@ OLD_LOG = """\
 "elapsed_s": 0.0001, "nodes": 7, "sense": "ascending", "retried": true}
 {"key": "r1:S0:L1:Ucap", "root": 1, "support": [0], "status": "Optimal", "value": 1, \
 "elapsed_s": 0.0001, "nodes": 3, "sense": "descending", "retried": false}
+{"key": "r1:S0:L1:Ucap", "root": 1, "support": [0], "status": "Optimal", "value": 1, \
+"elapsed_s": 0.0001, "nodes": 3, "retried": false}
 """
 
 
@@ -272,7 +316,8 @@ def test_log_with_sense_keys_loads_and_resumes_to_noop(tmp_path):
     out = tmp_path / "results.jsonl"
     out.write_text(OLD_LOG)
     records = load_records(str(out))
-    assert [r.status for r in records] == ["Optimal", "TimedOut", "Optimal", "Optimal"]
+    assert [r.status for r in records] == ["Optimal", "TimedOut", "Optimal", "Optimal", "Optimal"]
+    assert all(r.witness is None for r in records)
     assert set(final_records(records)) == {i.key for i in p.instances}
     assert report(records).incomplete == 0
     assert run(p, None, str(out), graph=g) == []

@@ -52,12 +52,21 @@ def test_pi_k_upper_cube_class0_exact():
 
 
 def test_pi_k_upper_lemke_full_support():
-    report = pi_k_upper(catalog("lemke1"), 7, 7, lower=1)
+    g = catalog("lemke1")
+    report = pi_k_upper(g, 7, 7, lower=1)
     assert report.value == 8
     assert report.complete
     assert report.certificate is not None
     assert report.certificate.size() == 7
-    eng = engine_for(catalog("lemke1"), [r for r, b in report.per_root.items() if b == 8][0])
+    # every Optimal record's witness, rebuilt on its support, is unsolvable at its root
+    witnesses = []
+    for rec in report.instances:
+        if rec.status == "Optimal":
+            witness = Configuration.from_map(g.n, dict(zip(rec.support, rec.witness)))
+            assert witness.size() == rec.value
+            assert not engine_for(g, rec.root).decide(witness.counts)
+            witnesses.append(witness)
+    assert report.certificate in witnesses
 
 
 def test_pi_k_upper_equals_direct_enumeration_when_c_is_k():
@@ -89,6 +98,16 @@ def test_pi_k_upper_sampling_flags_incomplete():
     report = pi_k_upper(g, 2, 4, lower=1, sample=1, seed=5)
     assert not report.complete
     assert len(report.instances) == 1
+
+
+def test_pi_k_upper_retries_a_timed_out_instance_once():
+    report = pi_k_upper(catalog("cube:3"), 4, 7, time_cap=1e-6)
+    keys = list(dict.fromkeys(rec.key for rec in report.instances))
+    assert keys
+    for key in keys:
+        assert [rec.retried for rec in report.instances if rec.key == key] == [False, True]
+    assert all(rec.status == "TimedOut" for rec in report.instances)
+    assert not report.complete
 
 
 def test_pi_k_upper_validates_arguments():
