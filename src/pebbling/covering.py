@@ -3,17 +3,32 @@
 greedy_cover grows each cover set by absorbing family members in the given
 iteration order while the union stays within capacity, then drops every
 covered member.  Members and sets are word-major uint64 bitmasks (vertex v
-is bit v % 64 of word v // 64), so one forward scan over the remaining
-members finds each absorption: growth can only shrink the set of absorbable
-members, so no earlier member needs a second look.
+is bit v % 64 of word v // 64).  A member that no longer fits never fits
+again, since growth only enlarges its union with the set, so each absorption
+is the first live member past the previous one that fits.  The scan looks
+for it in windows that double in width from there, and stops at the first
+window that holds one; only a set that closes below capacity scans to the
+end.  Once a set closes, the members it covers are found by looking up its
+k-subsets in a member -> position map and flagged dead, so no pass over the
+live members is made per set (unless those subsets outnumber the members
+left).  Repeated members are dropped up front: a repeat is covered whenever
+its first copy is, and the map holds one position per member.
+
+validate_cover checks coverage by another route: each vertex gets a bitset
+of the design sets that hold it, and a member is covered iff the AND of its
+vertices' rows is nonzero.  Members are checked in fixed-size blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, combinations
+from math import comb
 
 import numpy as np
+
+WINDOW = 32  # first scan window, in members
+BLOCK = 1024  # members per validation block
 
 
 @dataclass
@@ -25,7 +40,7 @@ class CoveringDesign:
 
 def greedy_cover(family, c: int, root: int = -1) -> CoveringDesign:
     """Cover all members of `family` (k-subsets, fixed order) by sets of size <= c."""
-    members = [tuple(sorted(t)) for t in family]
+    members = list(dict.fromkeys(tuple(sorted(t)) for t in family))
     if not members:
         return CoveringDesign(root=root, capacity=c, sets=[])
     k = len(members[0])
@@ -33,25 +48,50 @@ def greedy_cover(family, c: int, root: int = -1) -> CoveringDesign:
         raise ValueError("family members must share one size k")
     if c < k:
         raise ValueError(f"capacity {c} below member size {k}")
-    masks = _masks(members, _words(members))
-    width = np.min_scalar_type(k)  # a member has at most k bits outside a set
+    flat = np.fromiter(chain.from_iterable(members), dtype=np.intp, count=len(members) * k)
+    row = np.repeat(np.arange(len(members)), k)
+    masks = _bit_rows(row, flat, (len(members), int(flat.max(initial=0)) // 64 + 1))
+    if (np.bitwise_count(masks).sum(axis=1) != k).any():
+        raise ValueError("family members must not repeat a vertex")
+    index = {t: i for i, t in enumerate(members)}
+    alive = np.ones(len(members), dtype=bool)
     sets = []
-    while masks.shape[1]:
-        grown = np.zeros(len(masks), dtype=np.uint64)
-        size = cursor = 0
-        while cursor < masks.shape[1]:
-            outside = masks[:, cursor:] & ~grown[:, None]
-            gain = np.bitwise_count(outside).sum(axis=0, dtype=width)
-            fits = (gain >= 1) & (gain <= c - size)
-            first = int(fits.argmax())
-            if not fits[first]:
+    head = 0
+    while head < len(members):
+        grown = masks[head].copy()
+        size, cursor = k, head + 1
+        while size < c:
+            hit, gain = _first_fit(masks, alive, grown, cursor, k, c - size)
+            if not gain:
                 break
-            grown |= masks[:, cursor + first]
-            size += int(gain[first])
-            cursor += first + 1
-        sets.append(_vertices(grown))
-        masks = masks.compress((masks & ~grown[:, None]).any(axis=0), axis=1)
+            grown |= masks[hit]
+            size, cursor = size + gain, hit + 1
+        cover = _vertices(grown)
+        sets.append(cover)
+        # once the set's k-subsets outnumber the members left (a large c),
+        # one pass over those members is cheaper than the lookups
+        if comb(size, k) <= len(members) - head:
+            alive[[i for i in map(index.get, combinations(cover, k)) if i is not None]] = False
+        else:
+            alive[head:] &= (masks[head:] & ~grown).any(axis=1)
+        while head < len(members) and not alive[head]:
+            head += 1
     return CoveringDesign(root=root, capacity=c, sets=sets)
+
+
+def _first_fit(masks, alive, grown, start: int, k: int, budget: int) -> tuple[int, int]:
+    """The first live member at or past `start` that adds 1 to `budget`
+    vertices to `grown`: its position and that count, or (-1, 0)."""
+    width = WINDOW
+    while start < len(masks):
+        end = start + width
+        shared = np.bitwise_count(masks[start:end] & grown).sum(axis=1)
+        fits = (shared >= k - budget) & (shared < k) & alive[start:end]
+        first = int(fits.argmax())
+        if fits[first]:
+            return start + first, k - int(shared[first])
+        start, width = end, 2 * width
+    return -1, 0
 
 
 def validate_cover(design: CoveringDesign, family) -> bool:
@@ -62,30 +102,43 @@ def validate_cover(design: CoveringDesign, family) -> bool:
         if design.root >= 0 and design.root in s:
             return False
     family = list(family)
-    words = _words(chain(family, design.sets))
-    uncovered = _masks(family, words)
-    for s in _masks(design.sets, words).T:
-        if not uncovered.shape[1]:
-            break
-        uncovered = uncovered.compress((uncovered & ~s[:, None]).any(axis=0), axis=1)
-    return not uncovered.shape[1]
+    if not family:
+        return True
+    lengths = np.fromiter(map(len, family), dtype=np.intp, count=len(family))
+    flat = np.fromiter(chain.from_iterable(family), dtype=np.intp, count=int(lengths.sum()))
+    held = np.fromiter(chain.from_iterable(design.sets), dtype=np.intp)
+    pad = max(flat.max(initial=0), held.max(initial=0)) + 1  # past every real vertex
+    # row v of `incidence` is the bitmask of the design sets holding v; row
+    # `pad` holds every set, so padding a short member with it is neutral
+    count = len(design.sets)
+    owner = np.repeat(np.arange(count), [len(s) for s in design.sets])
+    incidence = _bit_rows(held, owner, (pad + 1, (count + 63) // 64))
+    incidence[pad] = ~np.uint64(0)
+    width = max(int(lengths.max()), 1)
+    rows = np.full((len(family), width), pad, dtype=np.intp)
+    rows[np.arange(width) < lengths[:, None]] = flat
+    for start in range(0, len(rows), BLOCK):
+        block = rows[start : start + BLOCK]
+        common = incidence[block[:, 0]]
+        for j in range(1, width):
+            common &= incidence[block[:, j]]
+        if not common.any(axis=1).all():
+            return False
+    return True
 
 
-def _words(sets) -> int:
-    return max((v for s in sets for v in s), default=0) // 64 + 1
-
-
-def _masks(sets, words: int) -> np.ndarray:
-    """A (words, len(sets)) uint64 array; column i is the bitmask of sets[i]."""
-    sets = list(sets)
-    flat = np.fromiter(chain.from_iterable(sets), dtype=np.intp)
-    column = np.repeat(np.arange(len(sets)), [len(s) for s in sets])
-    masks = np.zeros((words, len(sets)), dtype=np.uint64)
-    bits = np.uint64(1) << (flat & 63).astype(np.uint64)
-    np.bitwise_or.at(masks, (flat >> 6, column), bits)
-    return masks
+def _bit_rows(row, bit, shape) -> np.ndarray:
+    """A uint64 array of `shape`, word-major bitmask rows: row row[i] has bit bit[i]."""
+    out = np.zeros(shape, dtype=np.uint64)
+    np.bitwise_or.at(out, (row, bit >> 6), np.uint64(1) << (bit & 63).astype(np.uint64))
+    return out
 
 
 def _vertices(mask: np.ndarray) -> tuple[int, ...]:
-    bits = np.unpackbits(mask.astype("<u8").view(np.uint8), bitorder="little")
-    return tuple(np.flatnonzero(bits).tolist())
+    out = []
+    for w, word in enumerate(mask.tolist()):
+        while word:
+            low = word & -word
+            out.append(64 * w + low.bit_length() - 1)
+            word ^= low
+    return tuple(out)

@@ -17,7 +17,7 @@ import os
 from collections import Counter
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
-from .covering import greedy_cover
+from .covering import greedy_cover, validate_cover
 from .follower import deadline_in
 from .graphs import Graph, parse_graph_spec
 from .leader import BilevelInstance, max_unsolvable
@@ -82,12 +82,16 @@ def instance_key(root: int, support, lower: int, upper: int | None) -> str:
 
 
 def root_covers(g: Graph, k: int, c: int) -> list[tuple[int, list[tuple[int, ...]]]]:
-    """Greedy cover sets of the support-k classes at each root orbit representative."""
+    """Greedy cover sets of the support-k classes at each root orbit
+    representative; a cover that fails validation raises ValueError."""
     group = automorphisms(g)
     covers = []
     for r in orbit_representatives(g, group):
         classes = support_class_reps(g, r, k, group)
-        covers.append((r, greedy_cover(classes.reps, c, root=r).sets))
+        design = greedy_cover(classes.reps, c, root=r)
+        if not validate_cover(design, classes.reps):
+            raise ValueError(f"root {r}: the cover of its support-{k} classes failed validation")
+        covers.append((r, design.sets))
     return covers
 
 
@@ -151,9 +155,12 @@ def save_plan(p: JobPlan, path: str):
 
 
 def load_plan(path: str) -> JobPlan:
-    """Read a plan; a missing or mistyped field raises ValueError naming the file."""
+    """Read a plan; bad JSON or a missing or mistyped field raises ValueError naming the file."""
     with open(path) as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON: {exc}") from None
     version = payload.get("version") if isinstance(payload, dict) else None
     if version != PLAN_FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported plan version {version!r}")

@@ -7,6 +7,8 @@ covering designs for all root orbits of lemke1 x lemke1 are built once
 per session.  The sampled infeasibility reproduction dominates runtime.
 """
 
+import hashlib
+import json
 import math
 import random
 import signal
@@ -19,7 +21,7 @@ from itertools import combinations, permutations, product as iproduct
 import pytest
 
 from pebbling.configurations import Configuration, apply_move
-from pebbling.covering import greedy_cover, validate_cover
+from pebbling.covering import CoveringDesign, greedy_cover, validate_cover
 from pebbling.follower import (
     FlowVector,
     FollowerEngine,
@@ -52,6 +54,11 @@ PRODUCT_SPEC = "product:lemke1,lemke1"
 NAIVE_REFERENCE = 38_122_560
 CLASS_REFERENCE = 1_880_808
 COVER_REFERENCE = 121_512
+# root -> (cover sets, sha256 prefix of json.dumps(sets), whether the cover
+# still holds without set len // 2, and without set len // 2 + 1) at k 4, c 8;
+# a plain set-intersection check gives the same two verdicts
+COVER_PINS = {9: (3186, "8abdaf5ff04ee3c8", False, True), 3: (8960, "300cc813b593c36f", True, False)}
+COVER_PIN_ALL = (123_068, "c6106d31ca501200")  # all 21 roots, in orbit order
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +114,27 @@ def test_covering_design_totals_within_tolerance(root_classes, root_covers):
         f"\nPASS covering designs: {total} sets over {len(root_covers)} roots, "
         f"{drift:+.2%} from the {COVER_REFERENCE} reference, all designs validate"
     )
+
+
+def _digest(covers) -> str:
+    h = hashlib.sha256()
+    for sets in covers:
+        h.update(json.dumps(sets).encode())
+    return h.hexdigest()[:16]
+
+
+def test_covering_designs_pinned(root_classes, root_covers):
+    for r, (count, digest, *without) in COVER_PINS.items():
+        design, reps = root_covers[r], root_classes[r].reps
+        assert (len(design.sets), _digest([design.sets])) == (count, digest), f"root {r}"
+        assert validate_cover(design, reps)
+        middle = len(design.sets) // 2
+        for j, holds in zip((middle, middle + 1), without):
+            broken = design.sets[:j] + design.sets[j + 1 :]
+            assert validate_cover(CoveringDesign(r, 8, broken), reps) == holds, f"root {r}"
+    covers = [d.sets for d in root_covers.values()]
+    assert (sum(map(len, covers)), _digest(covers)) == COVER_PIN_ALL
+    print(f"\nPASS covering designs pinned: roots 9 and 3, and all {len(covers)} roots")
 
 
 def test_pebbling_numbers_of_named_graphs():

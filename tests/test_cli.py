@@ -251,3 +251,11 @@ def test_malformed_plan_is_a_clean_error(tmp_path, capsys):
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {plan_path}: ") and named in err
+
+
+def test_plan_that_is_not_json_names_its_file(tmp_path, capsys):
+    plan_path = tmp_path / "bad.json"
+    plan_path.write_text('{"version": 1,')
+    code = main(["batch", "--plan", str(plan_path), "--out", str(tmp_path / "x.jsonl")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {plan_path}: not valid JSON: ")

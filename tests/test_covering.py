@@ -129,3 +129,84 @@ def test_dominance_solved_sets_cover_their_subsets():
     assert validate_cover(design, family)
     for t in family:
         assert any(set(t) <= set(s) for s in design.sets)
+
+
+def _family_with_repeats(rng, width, k, count):
+    """Random k-subsets of range(width) as unsorted tuples, with some members
+    repeated (in either vertex order) later in the family."""
+    family = [tuple(rng.sample(range(width), k)) for _ in range(count)]
+    for _ in range(rng.randint(1, max(1, count // 4))):
+        t = list(rng.choice(family))
+        rng.shuffle(t)
+        family.insert(rng.randrange(len(family) + 1), tuple(t))
+    return family
+
+
+def test_greedy_cover_matches_plain_oracle_on_repeats_and_unsorted_members():
+    rng = random.Random(13)
+    for trial in range(300):
+        width = rng.choice((rng.randint(6, 63), rng.randint(65, 150)))
+        k = rng.randint(1, 4)
+        c = rng.randint(k, k + 5)
+        family = _family_with_repeats(rng, width, k, rng.randint(1, 120))
+        assert len(set(map(frozenset, family))) < len(family)
+        assert greedy_cover(family, c).sets == _greedy_plain(family, c), (trial, width, k, c)
+
+
+def test_greedy_cover_set_closing_below_capacity_scans_to_the_end():
+    # after (0,1,2) no member adds exactly one vertex, so the first set closes
+    # at 3 of 4 vertices only after looking at every member past it
+    rng = random.Random(21)
+    family = [(0, 1, 2)] + [tuple(rng.sample(range(3, 90), 3)) for _ in range(400)]
+    design = greedy_cover(family, 4)
+    assert design.sets[0] == (0, 1, 2)
+    assert design.sets == _greedy_plain(family, 4)
+    assert validate_cover(design, family)
+
+
+def test_greedy_cover_rejects_a_repeated_vertex():
+    with pytest.raises(ValueError, match="repeat a vertex"):
+        greedy_cover([(0, 1), (2, 2)], 3)
+
+
+def _covers_plain(design, family) -> bool:
+    """Reference validator over frozensets."""
+    sets = [frozenset(s) for s in design.sets]
+    if any(len(s) > design.capacity or design.root in s for s in sets):
+        return False
+    return all(any(frozenset(t) <= s for s in sets) for t in family)
+
+
+def test_validate_cover_matches_frozenset_oracle():
+    rng = random.Random(17)
+    for trial in range(200):
+        width = rng.choice((rng.randint(6, 63), rng.randint(65, 200)))
+        k = rng.randint(1, 4)
+        c = rng.randint(k, k + 4)
+        family = [tuple(rng.sample(range(width), k)) for _ in range(rng.randint(1, 80))]
+        sets = list(greedy_cover(family, c).sets)
+        # a design set may also hold vertices that no member uses
+        sets = [s + tuple(rng.sample(range(width, width + 70), rng.randint(0, 2))) for s in sets]
+        design = CoveringDesign(root=-1, capacity=c + 2, sets=sets)
+        assert validate_cover(design, family) and _covers_plain(design, family)
+        # leave one member, at a random position, uncovered
+        lost = frozenset(rng.choice(family))
+        design.sets = [s for s in sets if not lost <= frozenset(s)]
+        rng.shuffle(design.sets)
+        assert not _covers_plain(design, family)
+        assert not validate_cover(design, family), trial
+
+
+def test_validate_cover_edge_cases_match_oracle():
+    cases = [
+        (CoveringDesign(-1, 3, []), []),
+        (CoveringDesign(-1, 3, [(0, 1, 2)]), []),
+        (CoveringDesign(-1, 3, []), [(0, 1)]),
+        (CoveringDesign(-1, 3, [(64, 65, 130)]), [(64, 130), (65,)]),
+        (CoveringDesign(-1, 3, [(64, 65, 130)]), [(64, 131)]),
+        (CoveringDesign(-1, 4, [(1, 2, 3, 200)]), [(2, 1), (3,), (1, 2, 3)]),
+        (CoveringDesign(-1, 2, [(0, 1)] * 70 + [(5, 6)]), [(5, 6), (0,)]),
+        (CoveringDesign(-1, 2, [(0, 1)] * 70), [(5, 6), (0,)]),
+    ]
+    for design, family in cases:
+        assert validate_cover(design, family) == _covers_plain(design, family), (design, family)

@@ -5,6 +5,7 @@ from dataclasses import asdict
 
 import pytest
 
+from pebbling import orchestrator
 from pebbling.cli import main
 from pebbling.graphs import catalog
 from pebbling.orchestrator import (
@@ -20,6 +21,7 @@ from pebbling.orchestrator import (
     run,
     save_plan,
 )
+from pebbling.symmetry import orbit_representatives
 
 
 def _record(key, status="Optimal", elapsed=1.0, retried=False, root=0):
@@ -71,6 +73,25 @@ def test_plan_single_orbit_uses_one_worker():
 def test_plan_rejects_bad_workers():
     with pytest.raises(ValueError):
         plan(catalog("path:3"), 1, 1, 1, None, workers=0)
+
+
+def test_plan_rejects_a_cover_that_misses_a_class(tmp_path, monkeypatch, capsys):
+    real = orchestrator.greedy_cover
+
+    def short(family, c, root=-1):  # loses its last set
+        design = real(family, c, root)
+        design.sets = design.sets[:-1]
+        return design
+
+    monkeypatch.setattr(orchestrator, "greedy_cover", short)
+    g = catalog("path:5")
+    with pytest.raises(ValueError, match=f"^root {orbit_representatives(g)[0]}: .*failed validation"):
+        plan(g, 2, 4, 1, None, workers=2)
+    out = tmp_path / "plan.json"
+    args = ["plan", "--graph", "path:5", "--k", "2", "--c", "4", "--lower", "1", "--out", str(out)]
+    assert main(args) == 2
+    assert "failed validation" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_plan_roundtrip(tmp_path):
