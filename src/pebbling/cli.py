@@ -11,7 +11,6 @@ import argparse
 import sys
 
 from .configurations import format_config, parse_config_literal
-from .covering import greedy_cover, validate_cover
 from .follower import deadline_in, max_deliverable
 from .graphs import parse_graph_spec
 from .leader import BilevelInstance, max_unsolvable
@@ -21,6 +20,7 @@ from .orchestrator import (
     plan,
     plan_from_covers,
     report,
+    root_cover,
     run,
     save_plan,
 )
@@ -82,19 +82,13 @@ def cmd_classes(args) -> int:
 
 def cmd_cover(args) -> int:
     g = parse_graph_spec(args.graph)
-    classes = support_class_reps(g, args.root, args.k)
-    design = greedy_cover(classes.reps, args.c, root=args.root)
-    if not validate_cover(design, classes.reps):
-        print("cover validation FAILED", file=sys.stderr)
-        return 1
-    print(f"sets {len(design.sets)}")
+    sets = root_cover(g, args.root, args.k, args.c)
+    print(f"sets {len(sets)}")
     if args.sets:
-        for s in design.sets:
+        for s in sets:
             print(",".join(map(str, s)))
     if args.emit_plan:
-        p = plan_from_covers(
-            args.graph, args.k, args.c, args.lower, None, 1, [(args.root, design.sets)]
-        )
+        p = plan_from_covers(args.graph, args.k, args.c, args.lower, None, 1, [(args.root, sets)])
         save_plan(p, args.emit_plan)
         print(f"plan written to {args.emit_plan}")
     return 0

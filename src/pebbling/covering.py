@@ -1,34 +1,28 @@
 """Greedy covering designs over support-class families.
 
+Members and sets are Python-int bitsets: vertex v is bit v, for any v.
+
 greedy_cover grows each cover set by absorbing family members in the given
 iteration order while the union stays within capacity, then drops every
-covered member.  Members and sets are word-major uint64 bitmasks (vertex v
-is bit v % 64 of word v // 64).  A member that no longer fits never fits
-again, since growth only enlarges its union with the set, so each absorption
-is the first live member past the previous one that fits.  The scan looks
-for it in windows that double in width from there, and stops at the first
-window that holds one; only a set that closes below capacity scans to the
-end.  Once a set closes, the members it covers are found by looking up its
-k-subsets in a member -> position map and flagged dead, so no pass over the
-live members is made per set (unless those subsets outnumber the members
-left).  Repeated members are dropped up front: a repeat is covered whenever
-its first copy is, and the map holds one position per member.
+covered member.  A member that no longer fits never fits again, since growth
+only enlarges its union with the set, so each set is one forward scan over
+the live members past the one that opens it, stopping once the set is full.
+Once a set closes, the members it covers are found by looking up its
+k-subsets in a member -> position map and flagged dead, or by one pass over
+the members left when those subsets outnumber them (a large c).  Repeated
+members are dropped up front: a repeat is covered whenever its first copy
+is, and the map holds one position per member.
 
 validate_cover checks coverage by another route: each vertex gets a bitset
 of the design sets that hold it, and a member is covered iff the AND of its
-vertices' rows is nonzero.  Members are checked in fixed-size blocks.
+vertices' bitsets is nonzero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
 from math import comb
-
-import numpy as np
-
-WINDOW = 32  # first scan window, in members
-BLOCK = 1024  # members per validation block
 
 
 @dataclass
@@ -48,50 +42,39 @@ def greedy_cover(family, c: int, root: int = -1) -> CoveringDesign:
         raise ValueError("family members must share one size k")
     if c < k:
         raise ValueError(f"capacity {c} below member size {k}")
-    flat = np.fromiter(chain.from_iterable(members), dtype=np.intp, count=len(members) * k)
-    row = np.repeat(np.arange(len(members)), k)
-    masks = _bit_rows(row, flat, (len(members), int(flat.max(initial=0)) // 64 + 1))
-    if (np.bitwise_count(masks).sum(axis=1) != k).any():
+    masks = [sum(1 << v for v in t) for t in members]
+    # k powers of two sum to k set bits only when they are distinct
+    if any(m.bit_count() != k for m in masks):
         raise ValueError("family members must not repeat a vertex")
     index = {t: i for i, t in enumerate(members)}
-    alive = np.ones(len(members), dtype=bool)
+    alive = [True] * len(members)
     sets = []
     head = 0
     while head < len(members):
-        grown = masks[head].copy()
-        size, cursor = k, head + 1
-        while size < c:
-            hit, gain = _first_fit(masks, alive, grown, cursor, k, c - size)
-            if not gain:
+        grown, size, taken = masks[head], k, [head]
+        for i in range(head + 1, len(members)):
+            if size == c:
                 break
-            grown |= masks[hit]
-            size, cursor = size + gain, hit + 1
-        cover = _vertices(grown)
+            if alive[i]:
+                union = grown | masks[i]
+                if union.bit_count() <= c:
+                    grown, size = union, union.bit_count()
+                    taken.append(i)
+        cover = tuple(sorted({v for i in taken for v in members[i]}))
         sets.append(cover)
         # once the set's k-subsets outnumber the members left (a large c),
         # one pass over those members is cheaper than the lookups
         if comb(size, k) <= len(members) - head:
-            alive[[i for i in map(index.get, combinations(cover, k)) if i is not None]] = False
+            for i in map(index.get, combinations(cover, k)):
+                if i is not None:
+                    alive[i] = False
         else:
-            alive[head:] &= (masks[head:] & ~grown).any(axis=1)
+            for i in range(head, len(members)):
+                if masks[i] | grown == grown:
+                    alive[i] = False
         while head < len(members) and not alive[head]:
             head += 1
     return CoveringDesign(root=root, capacity=c, sets=sets)
-
-
-def _first_fit(masks, alive, grown, start: int, k: int, budget: int) -> tuple[int, int]:
-    """The first live member at or past `start` that adds 1 to `budget`
-    vertices to `grown`: its position and that count, or (-1, 0)."""
-    width = WINDOW
-    while start < len(masks):
-        end = start + width
-        shared = np.bitwise_count(masks[start:end] & grown).sum(axis=1)
-        fits = (shared >= k - budget) & (shared < k) & alive[start:end]
-        first = int(fits.argmax())
-        if fits[first]:
-            return start + first, k - int(shared[first])
-        start, width = end, 2 * width
-    return -1, 0
 
 
 def validate_cover(design: CoveringDesign, family) -> bool:
@@ -101,44 +84,16 @@ def validate_cover(design: CoveringDesign, family) -> bool:
             return False
         if design.root >= 0 and design.root in s:
             return False
-    family = list(family)
-    if not family:
-        return True
-    lengths = np.fromiter(map(len, family), dtype=np.intp, count=len(family))
-    flat = np.fromiter(chain.from_iterable(family), dtype=np.intp, count=int(lengths.sum()))
-    held = np.fromiter(chain.from_iterable(design.sets), dtype=np.intp)
-    pad = max(flat.max(initial=0), held.max(initial=0)) + 1  # past every real vertex
-    # row v of `incidence` is the bitmask of the design sets holding v; row
-    # `pad` holds every set, so padding a short member with it is neutral
-    count = len(design.sets)
-    owner = np.repeat(np.arange(count), [len(s) for s in design.sets])
-    incidence = _bit_rows(held, owner, (pad + 1, (count + 63) // 64))
-    incidence[pad] = ~np.uint64(0)
-    width = max(int(lengths.max()), 1)
-    rows = np.full((len(family), width), pad, dtype=np.intp)
-    rows[np.arange(width) < lengths[:, None]] = flat
-    for start in range(0, len(rows), BLOCK):
-        block = rows[start : start + BLOCK]
-        common = incidence[block[:, 0]]
-        for j in range(1, width):
-            common &= incidence[block[:, j]]
-        if not common.any(axis=1).all():
+    held: dict[int, int] = {}  # vertex -> bitset of the design sets holding it
+    for i, s in enumerate(design.sets):
+        for v in s:
+            held[v] = held.get(v, 0) | 1 << i
+    # start from every set, not -1, so the empty member needs some set
+    every = (1 << len(design.sets)) - 1
+    for t in family:
+        common = every
+        for v in t:
+            common &= held.get(v, 0)
+        if not common:
             return False
     return True
-
-
-def _bit_rows(row, bit, shape) -> np.ndarray:
-    """A uint64 array of `shape`, word-major bitmask rows: row row[i] has bit bit[i]."""
-    out = np.zeros(shape, dtype=np.uint64)
-    np.bitwise_or.at(out, (row, bit >> 6), np.uint64(1) << (bit & 63).astype(np.uint64))
-    return out
-
-
-def _vertices(mask: np.ndarray) -> tuple[int, ...]:
-    out = []
-    for w, word in enumerate(mask.tolist()):
-        while word:
-            low = word & -word
-            out.append(64 * w + low.bit_length() - 1)
-            word ^= low
-    return tuple(out)

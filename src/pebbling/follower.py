@@ -5,17 +5,17 @@ Moves out of r are never taken and delivered counts are arrivals at r only,
 matching the root-sink constraint of the flow formulation it implements.
 
 Layered decision procedure, sound at every layer:
-  1. arithmetic accepts (single-source floors and their sums),
-  2. greedy collapse and stack-merge accepts (constructive move witnesses);
-     the merge accept tries, for each pair of stack vertices, only the
-     meeting vertices that no earlier vertex matches on all three distances,
-     from a per-pair meeting table built on first use,
-  3. exhaustive depth-first search over all weight-feasible moves, with a
+  1. greedy collapse and stack-merge accepts (constructive move witnesses);
+     the merge accept first checks the sum of the single-source floors, then
+     tries, for each pair of stack vertices, only the meeting vertices that
+     no earlier vertex matches on all three distances, from a per-pair
+     meeting table built on first use,
+  2. exhaustive depth-first search over all weight-feasible moves, with a
      per-goal dead set of residual configurations known to fail; it returns
      the winning move path, which is the certificate of every delivered count.
-Layers 1-2 only ever claim "solvable"; layer 3 is complete.  decide runs
-all three; max_deliverable runs only layer 3, one search per goal, and
-keeps the path of the last goal it reaches.
+Layer 1 only ever claims "solvable"; layer 2 is complete.  decide runs
+both; max_deliverable runs only layer 2, one search per goal, and keeps the
+path of the last goal it reaches.
 
 One engine per (graph, root) lives as long as its graph and owns three
 tables that it shares across calls: its dead sets (decide's and
@@ -160,10 +160,6 @@ class FollowerEngine:
 
     # ----- cheap sound accepts (True => solvable; False => unknown) -----
 
-    def _accept_floors(self, q, goal) -> bool:
-        d = self.d
-        return q[self.r] + sum((c >> d[v]) for v, c in enumerate(q) if c and v != self.r) >= goal
-
     def _accept_collapse(self, q0, goal) -> bool:
         q = list(q0)
         d, r = self.d, self.r
@@ -263,12 +259,8 @@ class FollowerEngine:
         return fwd, back
 
     def _accepts(self, q, goal) -> bool:
-        """Layers 1-2 in cost order; True means solvable."""
-        return (
-            self._accept_floors(q, goal)
-            or self._accept_collapse(q, goal)
-            or self._accept_merge(q, goal)
-        )
+        """Layer 1 in cost order; True means solvable."""
+        return self._accept_collapse(q, goal) or self._accept_merge(q, goal)
 
     # ----- exact layer -----
 

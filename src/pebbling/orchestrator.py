@@ -81,18 +81,20 @@ def instance_key(root: int, support, lower: int, upper: int | None) -> str:
     return f"r{root}:S{s}:L{lower}:U{u}"
 
 
+def root_cover(g: Graph, r: int, k: int, c: int, group=None) -> list[tuple[int, ...]]:
+    """Greedy cover sets of the support-k classes at root r; a cover that
+    fails validation raises ValueError naming r."""
+    classes = support_class_reps(g, r, k, group)
+    design = greedy_cover(classes.reps, c, root=r)
+    if not validate_cover(design, classes.reps):
+        raise ValueError(f"root {r}: the cover of its support-{k} classes failed validation")
+    return design.sets
+
+
 def root_covers(g: Graph, k: int, c: int) -> list[tuple[int, list[tuple[int, ...]]]]:
-    """Greedy cover sets of the support-k classes at each root orbit
-    representative; a cover that fails validation raises ValueError."""
+    """root_cover at each root orbit representative."""
     group = automorphisms(g)
-    covers = []
-    for r in orbit_representatives(g, group):
-        classes = support_class_reps(g, r, k, group)
-        design = greedy_cover(classes.reps, c, root=r)
-        if not validate_cover(design, classes.reps):
-            raise ValueError(f"root {r}: the cover of its support-{k} classes failed validation")
-        covers.append((r, design.sets))
-    return covers
+    return [(r, root_cover(g, r, k, c, group)) for r in orbit_representatives(g, group)]
 
 
 def plan(

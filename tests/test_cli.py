@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from pebbling import orchestrator
 from pebbling.cli import main
 
 
@@ -102,6 +103,28 @@ def test_cover_and_emit_plan(tmp_path, capsys):
     assert code == 0
     assert f"new_records {len(payload['instances'])}" in out
     assert len(log_path.read_text().splitlines()) == len(payload["instances"])
+
+
+def test_cover_that_fails_validation_exits_2_naming_the_root(tmp_path, monkeypatch, capsys):
+    real = orchestrator.greedy_cover
+
+    def short(family, c, root=-1):  # loses its last set
+        design = real(family, c, root)
+        design.sets = design.sets[:-1]
+        return design
+
+    monkeypatch.setattr(orchestrator, "greedy_cover", short)
+    plan_path = tmp_path / "plan.json"
+    code = main([
+        "cover", "--graph", "cube:3", "--root", "0", "--k", "2", "--c", "4",
+        "--emit-plan", str(plan_path), "--lower", "8",
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: root 0: ")
+    assert "failed validation" in captured.err
+    assert not plan_path.exists()
 
 
 def test_pi(capsys):

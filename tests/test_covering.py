@@ -207,6 +207,9 @@ def test_validate_cover_edge_cases_match_oracle():
         (CoveringDesign(-1, 4, [(1, 2, 3, 200)]), [(2, 1), (3,), (1, 2, 3)]),
         (CoveringDesign(-1, 2, [(0, 1)] * 70 + [(5, 6)]), [(5, 6), (0,)]),
         (CoveringDesign(-1, 2, [(0, 1)] * 70), [(5, 6), (0,)]),
+        (CoveringDesign(-1, 3, []), [()]),
+        (CoveringDesign(-1, 3, [(0, 1)]), [()]),
     ]
+    assert [_covers_plain(design, family) for design, family in cases[-2:]] == [False, True]
     for design, family in cases:
         assert validate_cover(design, family) == _covers_plain(design, family), (design, family)

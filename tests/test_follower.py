@@ -346,5 +346,6 @@ def test_merge_meeting_table_keeps_every_merge_chain():
         for goal in (1, 2, 3):
             got = eng._accept_merge(counts, goal)
             assert got == _all_w_merge_chain(eng, counts, goal)
-            decisive += got and not eng._accept_floors(counts, goal)
+            floors = counts[r] + sum(c >> eng.d[v] for v, c in enumerate(counts) if v != r)
+            decisive += got and floors < goal
     assert decisive >= 100
