@@ -3,17 +3,7 @@ support-restricted bounds via automorphism orbits and covering designs."""
 
 from .configurations import Configuration, apply_move, parse_config_literal, weight
 from .covering import CoveringDesign, greedy_cover, validate_cover
-from .follower import (
-    DeliveryResult,
-    FlowVector,
-    MoveMultigraph,
-    balance_check,
-    bfs_oracle,
-    is_solvable,
-    max_deliverable,
-    order_moves,
-    purify_flow,
-)
+from .follower import DeliveryResult, bfs_oracle, is_solvable, max_deliverable
 from .graphs import Arc, DistanceTable, Graph, cartesian_product, catalog, load_edge_list
 from .leader import BilevelInstance, BilevelOutcome, max_unsolvable, pi_support
 from .pipeline import (

@@ -286,12 +286,12 @@ def main(argv=None) -> int:
     args.deadline = deadline_in(getattr(args, "time_cap", None))
     try:
         return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except TimeoutError:
+    except TimeoutError:  # an OSError, so caught before the clause below
         print("status TimedOut")
         return 0
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

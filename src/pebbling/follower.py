@@ -1,8 +1,8 @@
 """Lower-level engine: maximum pebbles deliverable to a root, with certificates.
 
 The engine answers "can this configuration move t pebbles onto r" exactly.
-Moves out of r are never taken and delivered counts are arrivals at r only,
-matching the root-sink constraint of the flow formulation it implements.
+Moves out of r are never taken and delivered counts are arrivals at r only:
+r is a sink.
 
 Layered decision procedure, sound at every layer:
   1. greedy collapse and stack-merge accepts (constructive move witnesses);
@@ -22,8 +22,7 @@ tables that it shares across calls: its dead sets (decide's and
 max_deliverable's alike), its meeting table, and its frontier table, which
 holds for each pair of support vertices the leader's exact pair frontier of
 the cheap accepts, probed on first use.  A deadline belongs to one call.
-The flow helpers and bfs_oracle are reference checkers that re-verify
-answers independently.
+bfs_oracle is the reference checker that re-verifies answers independently.
 """
 
 from __future__ import annotations
@@ -31,8 +30,7 @@ from __future__ import annotations
 import sys
 import time
 import weakref
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .configurations import Configuration
 from .graphs import Arc, Graph
@@ -42,85 +40,6 @@ DEAD_SET_LIMIT = 2_000_000  # entries per dead set before it is cleared; bounds 
 
 class OracleBudgetError(RuntimeError):
     """bfs_oracle exceeded its configuration budget (test-only signal)."""
-
-
-@dataclass
-class FlowVector:
-    """Non-negative integer flow per arc; the z variables of the program."""
-
-    z: dict[Arc, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if any(v < 0 for v in self.z.values()):
-            raise ValueError("negative arc flow")
-        self.z = {a: v for a, v in self.z.items() if v > 0}
-
-    def inflow(self, v: int) -> int:
-        return sum(val for a, val in self.z.items() if a.head == v)
-
-    def outflow(self, v: int) -> int:
-        return sum(val for a, val in self.z.items() if a.tail == v)
-
-    def total(self) -> int:
-        return sum(self.z.values())
-
-
-@dataclass
-class MoveMultigraph:
-    """Directed multigraph of moves; multiplicity of arc a equals z_a."""
-
-    n: int
-    multiplicity: Counter
-
-    @classmethod
-    def from_flow(cls, g: Graph, z: FlowVector) -> "MoveMultigraph":
-        return cls(g.n, Counter(z.z))
-
-    @classmethod
-    def from_arcs(cls, n: int, arcs_seq) -> "MoveMultigraph":
-        return cls(n, Counter(arcs_seq))
-
-    def is_acyclic(self) -> bool:
-        return _find_cycle(self.multiplicity) is None
-
-
-def _find_cycle(multiplicity) -> list[Arc] | None:
-    """One directed cycle among the arcs of positive multiplicity, or None."""
-    adj: dict[int, list[int]] = {}
-    for a, m in multiplicity.items():
-        if m > 0:
-            adj.setdefault(a.tail, []).append(a.head)
-    color: dict[int, int] = {}  # 0 visiting, 1 done
-    parent: dict[int, int] = {}
-    for start in list(adj):
-        if start in color:
-            continue
-        stack = [(start, iter(adj.get(start, ())))]
-        color[start] = 0
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in color:
-                    color[nxt] = 0
-                    parent[nxt] = node
-                    stack.append((nxt, iter(adj.get(nxt, ()))))
-                    advanced = True
-                    break
-                if color[nxt] == 0:
-                    cyc = [nxt]
-                    cur = node
-                    while cur != nxt:
-                        cyc.append(cur)
-                        cur = parent[cur]
-                    cyc.reverse()
-                    return [
-                        Arc(cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc))
-                    ]
-            if not advanced:
-                color[node] = 1
-                stack.pop()
-    return None
 
 
 @dataclass
@@ -396,76 +315,6 @@ def max_deliverable(
     while (path := eng.trace(p.counts, best + 1, deadline)) is not None:
         best, moves = best + 1, path
     return DeliveryResult(delivered=best, moves=moves)
-
-
-def balance_check(d: MoveMultigraph, p: Configuration) -> bool:
-    """p(v) + indeg(v) - 2 outdeg(v) >= 0 at every vertex."""
-    indeg = [0] * d.n
-    outdeg = [0] * d.n
-    for a, m in d.multiplicity.items():
-        outdeg[a.tail] += m
-        indeg[a.head] += m
-    return all(p[v] + indeg[v] - 2 * outdeg[v] >= 0 for v in range(d.n))
-
-
-def order_moves(d: MoveMultigraph, p: Configuration) -> list[Arc] | None:
-    """Greedy legal ordering of ALL arcs of an acyclic d, or None if none exists.
-
-    Repeatedly executes the lowest-indexed remaining arc whose tail holds
-    two pebbles; on an acyclic multigraph this succeeds exactly when the
-    balance condition holds.
-    """
-    if not d.is_acyclic():
-        raise ValueError("order_moves requires an acyclic move multigraph")
-    remaining = Counter({a: m for a, m in d.multiplicity.items() if m > 0})
-    counts = list(p.counts)
-    order: list[Arc] = []
-    arcs_sorted = sorted(remaining)
-    total = sum(remaining.values())
-    while total:
-        progressed = False
-        for a in arcs_sorted:
-            if remaining[a] > 0 and counts[a.tail] >= 2:
-                counts[a.tail] -= 2
-                counts[a.head] += 1
-                remaining[a] -= 1
-                order.append(a)
-                total -= 1
-                progressed = True
-                break
-        if not progressed:
-            return None
-    return order
-
-
-def purify_flow(z: FlowVector) -> FlowVector:
-    """Cancel directed cycles until the move multigraph is acyclic.
-
-    Feasibility is preserved (cancelling a cycle only adds slack at each
-    vertex on it) and arcs into r are never touched, since r has no
-    outgoing flow and thus lies on no cycle.
-    """
-    flow = dict(z.z)
-    while True:
-        cycle = _find_cycle(flow)
-        if cycle is None:
-            return FlowVector(flow)
-        delta = min(flow[a] for a in cycle)
-        for a in cycle:
-            flow[a] -= delta
-            if flow[a] == 0:
-                del flow[a]
-
-
-def flow_is_feasible(g: Graph, z: FlowVector, p: Configuration, r: int) -> bool:
-    """Balance at every vertex plus zero outflow at the root.
-
-    It does not check how many pebbles the flow delivers; callers compare
-    `z.inflow(r)` with the claimed count themselves.
-    """
-    if z.outflow(r) != 0:
-        return False
-    return balance_check(MoveMultigraph.from_flow(g, z), p)
 
 
 def bfs_oracle(g: Graph, p: Configuration, r: int, budget: int = 5_000_000) -> int:

@@ -209,11 +209,9 @@ def load_records(path: str) -> list[ResultRecord]:
 
     A torn line is the unterminated last one; any other line that does not
     decode raises ValueError naming the file and line, so a damaged log is
-    never read as a shorter one.
+    never read as a shorter one.  A missing log raises FileNotFoundError.
     """
     records = []
-    if not os.path.exists(path):
-        return records
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
@@ -270,7 +268,7 @@ def run(
         if not 0 <= index < width:
             raise ValueError(f"shard index {index} out of range")
         todo = [i for i in todo if i.worker == index]
-    if resume:
+    if resume and os.path.exists(out_path):
         final = final_records(load_records(out_path)).values()
         settled = {rec.key for rec in final if rec.status != "TimedOut" or rec.retried}
         todo = [i for i in todo if i.key not in settled]

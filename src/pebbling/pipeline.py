@@ -31,7 +31,6 @@ from .symmetry import automorphisms, orbit_representatives, subset_orbit_reps
 @dataclass
 class PebblingReport:
     value: int
-    per_root: dict[int, int | None]
     certificate: Configuration | None
     complete: bool
     instances: list[ResultRecord]  # every attempt; a retry follows its TimedOut one
@@ -74,8 +73,7 @@ def pi_k_upper(
     """
     if not 1 <= k <= c <= g.n - 1:
         raise ValueError(f"need 1 <= k <= c <= n-1, got k={k}, c={c}")
-    covers = root_covers(g, k, c)
-    pool = [(r, s) for r, sets in covers for s in sets]
+    pool = [(r, s) for r, sets in root_covers(g, k, c) for s in sets]
     chosen = pool
     if sample is not None and sample < len(pool):
         chosen = random.Random(seed).sample(pool, sample)
@@ -85,9 +83,6 @@ def pi_k_upper(
     ]
     records = list(execute(g, planned, time_cap))
     optimal = [rec for rec in final_records(records).values() if rec.status == "Optimal"]
-    per_root: dict[int, int | None] = {r: None for r, _ in covers}
-    for rec in optimal:
-        per_root[rec.root] = max(per_root[rec.root] or 0, rec.value + 1)
     # the first of the largest witnesses certifies the bound
     best = max(optimal, key=lambda rec: rec.value, default=None)
     certificate = None
@@ -95,7 +90,6 @@ def pi_k_upper(
         certificate = Configuration.from_map(g.n, dict(zip(best.support, best.witness)))
     return PebblingReport(
         value=lower if best is None else max(lower, best.value + 1),
-        per_root=per_root,
         certificate=certificate,
         complete=len(chosen) == len(pool) and report(records).incomplete == 0,
         instances=records,

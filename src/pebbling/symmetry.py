@@ -26,9 +26,6 @@ _HASH_MIX = np.uint64(0x9E3779B97F4A7C15)
 class Permutation:
     image: tuple[int, ...]
 
-    def __call__(self, v: int) -> int:
-        return self.image[v]
-
     def apply_set(self, vs) -> tuple[int, ...]:
         return tuple(sorted(self.image[v] for v in vs))
 
@@ -143,6 +140,8 @@ def support_class_reps(
     emitted in a fixed pseudorandom order, which keeps downstream greedy
     covering close to arbitrary-order behavior.
     """
+    if not 0 <= r < g.n:
+        raise ValueError(f"root {r} out of range")
     if not 1 <= k <= g.n - 1:
         raise ValueError(f"need 1 <= k <= n-1, got k={k}")
     group = group or automorphisms(g)

@@ -15,26 +15,14 @@ import signal
 import subprocess
 import sys
 import time
-from collections import Counter
 from itertools import combinations, permutations, product as iproduct
 
 import pytest
 
 from pebbling.configurations import Configuration, apply_move
 from pebbling.covering import CoveringDesign, greedy_cover, validate_cover
-from pebbling.follower import (
-    FlowVector,
-    FollowerEngine,
-    MoveMultigraph,
-    balance_check,
-    bfs_oracle,
-    engine_for,
-    flow_is_feasible,
-    max_deliverable,
-    order_moves,
-    purify_flow,
-)
-from pebbling.graphs import Arc, Graph, catalog
+from pebbling.follower import FollowerEngine, bfs_oracle, engine_for, max_deliverable
+from pebbling.graphs import Graph, catalog
 from pebbling.leader import BilevelInstance, max_unsolvable, pi_support
 from pebbling.orchestrator import (
     JobPlan,
@@ -285,32 +273,6 @@ def _random_connected(rng: random.Random, n: int) -> Graph:
     return Graph(n, sorted(edges), name=f"rand:{n}")
 
 
-def _orderable_exhaustive(d: MoveMultigraph, p: Configuration) -> bool:
-    """Complete search over firing orders, for small multigraphs."""
-    items = sorted(d.multiplicity.items())
-    dead = set()
-
-    def rec(remaining, cur):
-        if sum(remaining) == 0:
-            return True
-        key = (remaining, cur)
-        if key in dead:
-            return False
-        for i, (a, _) in enumerate(items):
-            if remaining[i] and cur[a.tail] >= 2:
-                nxt = list(cur)
-                nxt[a.tail] -= 2
-                nxt[a.head] += 1
-                rem = list(remaining)
-                rem[i] -= 1
-                if rec(tuple(rem), tuple(nxt)):
-                    return True
-        dead.add(key)
-        return False
-
-    return rec(tuple(m for _, m in items), tuple(p))
-
-
 def test_flow_oracle_equivalence_suite():
     t0 = time.perf_counter()
     # exhaustive part: every connected graph up to 5 vertices, every root,
@@ -330,9 +292,6 @@ def test_flow_oracle_equivalence_suite():
                     for t in (best, best + 1):
                         if t >= 1:
                             assert fresh.decide(p.counts, t) == (t <= best), (g.name, r, counts, t)
-                    flow = FlowVector(Counter(res.moves))
-                    assert flow_is_feasible(g, flow, p, r)
-                    assert flow.inflow(r) == res.delivered, (g.name, r, counts)
                     q = p
                     for a in res.moves:
                         assert a.tail != r and a.head in g.adjacency[a.tail]
@@ -358,75 +317,12 @@ def test_flow_oracle_equivalence_suite():
                 counts,
             )
             randomized += 1
-
-    # balance iff orderable on 10,000 random acyclic multigraphs; small ones
-    # are checked against a complete search over firing orders
-    ordered = exhaustively_ordered = 0
-    for _ in range(10_000):
-        n = rng.randint(2, 6)
-        topo = list(range(n))
-        rng.shuffle(topo)
-        arcs = []
-        for _ in range(rng.randint(1, 8)):
-            i, j = sorted(rng.sample(range(n), 2))
-            arcs.append(Arc(topo[i], topo[j]))
-        d = MoveMultigraph.from_arcs(n, arcs)
-        assert d.is_acyclic()
-        p = Configuration([rng.randint(0, 4) for _ in range(n)])
-        got = order_moves(d, p)
-        bal = balance_check(d, p)
-        assert (got is not None) == bal
-        if got is not None:
-            cur = list(p)
-            for a in got:
-                assert cur[a.tail] >= 2
-                cur[a.tail] -= 2
-                cur[a.head] += 1
-            assert Counter(got) == d.multiplicity
-        if len(arcs) <= 6:
-            assert _orderable_exhaustive(d, p) == bal
-            exhaustively_ordered += 1
-        ordered += 1
-
-    # purification on 10,000 random feasible flows built from legal play
-    purified = cyclic_seen = 0
-    for _ in range(10_000):
-        g = _random_connected(rng, rng.randint(3, 6))
-        r = rng.randrange(g.n)
-        counts = [rng.randint(0, 3) for _ in range(g.n)]
-        counts[rng.randrange(g.n)] += rng.randint(0, 8)
-        p = Configuration(counts)
-        cur = list(counts)
-        moves = []
-        for _ in range(rng.randint(0, 12)):
-            legal = [
-                Arc(u, w)
-                for u in range(g.n)
-                if u != r and cur[u] >= 2
-                for w in g.adjacency[u]
-            ]
-            if not legal:
-                break
-            a = rng.choice(legal)
-            cur[a.tail] -= 2
-            cur[a.head] += 1
-            moves.append(a)
-        z = FlowVector(dict(Counter(moves)))
-        assert flow_is_feasible(g, z, p, r)
-        cyclic_seen += not MoveMultigraph.from_flow(g, z).is_acyclic()
-        pure = purify_flow(z)
-        assert MoveMultigraph.from_flow(g, pure).is_acyclic()
-        assert flow_is_feasible(g, pure, p, r)
-        assert pure.inflow(r) == z.inflow(r)
-        purified += 1
-    assert cyclic_seen > 0  # the generator does exercise cycle cancellation
+    assert (exhaustive, randomized) == (91_872, 10_000)
 
     elapsed = time.perf_counter() - t0
     print(
-        f"\nPASS flow oracle equivalence: {exhaustive} exhaustive + "
-        f"{randomized} randomized delivery checks, {ordered} orderability checks "
-        f"({exhaustively_ordered} against complete search), {purified} purifications "
-        f"({cyclic_seen} cyclic) with zero discrepancies in {elapsed:.1f}s"
+        f"\nPASS delivery oracle equivalence: {exhaustive} exhaustive + "
+        f"{randomized} randomized delivery checks with zero discrepancies in {elapsed:.1f}s"
     )
 
 

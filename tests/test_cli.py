@@ -282,3 +282,26 @@ def test_plan_that_is_not_json_names_its_file(tmp_path, capsys):
     code = main(["batch", "--plan", str(plan_path), "--out", str(tmp_path / "x.jsonl")])
     assert code == 2
     assert capsys.readouterr().err.startswith(f"error: {plan_path}: not valid JSON: ")
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        ("classes --graph lemke1 --root 99 --k 3", "root 99 out of range"),
+        ("classes --graph lemke1 --root -1 --k 3", "root -1 out of range"),
+        ("cover --graph lemke1 --root 99 --k 3 --c 4", "root 99 out of range"),
+        ("cover --graph lemke1 --root -1 --k 3 --c 4", "root -1 out of range"),
+        ("report --in {tmp}/missing.jsonl", "{tmp}/missing.jsonl"),
+        ("batch --plan {tmp}/missing.json --out {tmp}/log.jsonl", "{tmp}/missing.json"),
+        ("batch --plan {tmp} --out {tmp}/log.jsonl", "{tmp}"),
+    ],
+    ids=["classes-root-99", "classes-root-neg", "cover-root-99", "cover-root-neg",
+         "report-missing-log", "batch-missing-plan", "batch-plan-is-dir"],
+)
+def test_bad_outside_input_is_one_error_line(tmp_path, capsys, argv, named):
+    # main returning at all means no traceback; the message names the culprit
+    code = main(argv.format(tmp=tmp_path).split())
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert named.format(tmp=tmp_path) in captured.err

@@ -209,9 +209,6 @@ def test_unreferenced_publics_detector():
 REFERENCE_CHECKERS = {
     "apply_move": "replays move certificates one legal move at a time",
     "is_solvable": "asks the yes/no question of a Configuration; tests check decide with it",
-    "order_moves": "turns a balanced acyclic flow into a legal move order",
-    "purify_flow": "cancels flow cycles, so a flow certificate can be ordered",
-    "flow_is_feasible": "checks a flow certificate's balance independently of the search",
     "weight": "the exact Fraction weight that the tests check the engine's bound against",
 }
 
