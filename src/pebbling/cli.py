@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 
 from .configurations import format_config, parse_config_literal
-from .follower import deadline_in, max_deliverable
+from .follower import deadline_in, engine_for, max_deliverable
 from .graphs import parse_graph_spec
 from .leader import BilevelInstance, max_unsolvable
 from .orchestrator import (
@@ -40,10 +41,14 @@ def _parse_support(text: str) -> tuple[int, ...]:
 def cmd_solve(args) -> int:
     g = parse_graph_spec(args.graph)
     p = parse_config_literal(args.config, g)
+    eng = engine_for(g, args.root)
+    nodes, t0 = eng.dfs_nodes, time.monotonic()
     result = max_deliverable(g, p, args.root, args.deadline)
     print(f"delivered {result.delivered}")
     for a in result.moves:
         print(f"move {a.tail} -> {a.head}")
+    print(f"dfs_nodes {eng.dfs_nodes - nodes}")
+    print(f"elapsed_s {time.monotonic() - t0:.3f}")
     return 0
 
 

@@ -11,8 +11,10 @@ Layered decision procedure, sound at every layer:
      no earlier vertex matches on all three distances, from a per-pair
      meeting table built on first use,
   2. exhaustive depth-first search over all weight-feasible moves, with a
-     per-goal dead set of residual configurations known to fail; it returns
-     the winning move path, which is the certificate of every delivered count.
+     per-goal dead set of residual configurations known to fail; it tries
+     each vertex's moves nearest-first and stops its move list at the first
+     move below the weight bound, and returns the winning move path, which
+     is the certificate of every delivered count.
 Layer 1 only ever claims "solvable"; layer 2 is complete.  decide runs
 both; max_deliverable runs only layer 2, one search per goal, and keeps the
 path of the last goal it reaches.
@@ -65,11 +67,12 @@ class FollowerEngine:
         self.scale = 1 << ecc
         self.caps = [(1 << dv) - 1 for dv in self.d]  # most pebbles v holds unsolved alone
         # branching order: heads closer to r first, index ascending on ties
-        self.moves = [
-            sorted(g.adjacency[u], key=lambda w: (self.d[w], w)) for u in range(self.n)
-        ]
-        self.down_moves = [
-            [w for w in self.moves[u] if self.d[w] < self.d[u]] for u in range(self.n)
+        moves = [sorted(g.adjacency[u], key=lambda w: (self.d[w], w)) for u in range(self.n)]
+        self.down_moves = [[w for w in moves[u] if self.d[w] < self.d[u]] for u in range(self.n)]
+        # the DFS's moves out of each u != r, as (head, weight change), in that order
+        self.steps = [
+            (u, [(w, self.wt[w] - 2 * self.wt[u]) for w in moves[u]])
+            for u in range(self.n) if u != r
         ]
         self.calls = 0
         self.dfs_nodes = 0
@@ -183,9 +186,6 @@ class FollowerEngine:
 
     # ----- exact layer -----
 
-    def _key(self, q):
-        return bytes(q) if max(q) < 256 else tuple(q)
-
     def _dfs(self, q, W, goal, dead, path, deadline) -> bool:
         """Complete search over weight-feasible moves; q mutated in place.
 
@@ -193,28 +193,32 @@ class FollowerEngine:
         unwinds, so path holds them last move first.  A deadline (monotonic
         seconds, or None) is polled every 4096 nodes.
         """
-        key = self._key(q)
+        try:
+            key = bytes(q)
+        except ValueError:  # a count above 255
+            key = tuple(q)
         if key in dead:
             return False
         self.dfs_nodes += 1
         if deadline is not None and self.dfs_nodes % 4096 == 0:
             if time.monotonic() > deadline:
                 raise TimeoutError("follower deadline elapsed")
-        r, wt, target = self.r, self.wt, goal * self.scale
-        for u in range(self.n):
-            if q[u] < 2 or u == r:
+        r, target, dfs = self.r, goal * self.scale, self._dfs
+        for u, steps in self.steps:
+            if q[u] < 2:
                 continue
-            wu2 = 2 * wt[u]
-            for w in self.moves[u]:
-                nW = W - wu2 + wt[w]
+            for w, dw in steps:
+                nW = W + dw
+                # heads come nearest r first, so dw never rises along steps:
+                # once one move falls below the target, every later one does
                 if nW < target:
-                    continue
+                    break
                 if w == r and q[r] + 1 >= goal:
                     path.append(Arc(u, w))
                     return True
                 q[u] -= 2
                 q[w] += 1
-                ok = self._dfs(q, nW, goal, dead, path, deadline)
+                ok = dfs(q, nW, goal, dead, path, deadline)
                 q[u] += 2
                 q[w] -= 1
                 if ok:

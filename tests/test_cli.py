@@ -21,6 +21,9 @@ def test_solve_prints_delivery_and_moves(capsys):
     assert "delivered 2" in out
     assert "move 2 -> 1" in out
     assert "move 1 -> 0" in out
+    lines = out.splitlines()
+    assert lines[-2] == "dfs_nodes 9"
+    assert lines[-1].startswith("elapsed_s ") and float(lines[-1].split()[1]) >= 0
 
 
 def test_solve_unsolvable_config(capsys):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import random
 import time
 import weakref
@@ -16,7 +17,8 @@ from pebbling.follower import (
     is_solvable,
     max_deliverable,
 )
-from pebbling.graphs import Graph, catalog
+from pebbling.graphs import Graph, catalog, load_edge_list
+from pebbling.symmetry import vertex_orbits
 
 
 def _replay(p, moves):
@@ -280,3 +282,90 @@ def test_merge_meeting_table_keeps_every_merge_chain():
             floors = counts[r] + sum(c >> eng.d[v] for v, c in enumerate(counts) if v != r)
             decisive += got and floors < goal
     assert decisive >= 100
+
+
+def _p2lemke_cases(rng, count, most):
+    """count near-frontier (root, configuration) pairs on P2□Lemke, at most `most` pebbles.
+
+    Roots 0-4 and 6 in turn; one pebble on each of 2-5 vertices at distance
+    >= 2, then pebbles on random support vertices until the weight
+    p(v)·2^-d(v) reaches a target drawn from 0.8 to 3.0.  Draws over most
+    pebbles are redrawn.
+    """
+    g = catalog("product:path:2,lemke1")
+    cases = []
+    while len(cases) < count:
+        r = (0, 1, 2, 3, 4, 6)[len(cases) % 6]
+        d = g.distance_table[r]
+        support = rng.sample([v for v in range(g.n) if d[v] >= 2], rng.randint(2, 5))
+        counts = [0] * g.n
+        for v in support:
+            counts[v] = 1
+        target = rng.uniform(0.8, 3.0)
+        while sum(c / (1 << d[v]) for v, c in enumerate(counts)) < target:
+            counts[rng.choice(support)] += 1
+        if sum(counts) <= most:
+            cases.append((r, Configuration(counts)))
+    return cases
+
+
+def test_dfs_work_and_certificates_are_pinned():
+    # any change to the search's move order or pruning moves one of the pins
+    g = catalog("product:path:2,lemke1")
+    cases = _p2lemke_cases(random.Random(21), 150, 16)
+    digest = hashlib.sha256()
+    for r, p in cases:
+        res = max_deliverable(g, p, r)
+        digest.update(repr((res.delivered, [tuple(a) for a in res.moves])).encode())
+    assert sum(engine_for(g, r).dfs_nodes for r in {r for r, _ in cases}) == 11144
+    assert digest.hexdigest()[:16] == "628af20bc2df7317"
+
+
+def test_counts_above_255_key_the_dead_sets_exactly():
+    p = Configuration.from_map(9, {8: 256})
+    res = max_deliverable(catalog("path:9"), p, 0)
+    assert (res.delivered, len(res.moves)) == (1, 255)
+    assert _replay(p, res.moves)[0] == 1
+    p = Configuration.from_map(4, {3: 300})
+    res = max_deliverable(catalog("path:4"), p, 0)
+    assert res.delivered == 37  # 300 // 8
+    assert _replay(p, res.moves)[0] == 37
+    # c + 256 pebbles must not share a dead-set key with c: the first call
+    # leaves [0, 0, 3, 1, 0] in the goal-1 dead set of the shared engine
+    g = catalog("cycle:5")
+    assert max_deliverable(g, Configuration([0, 0, 3, 1, 0]), 0).delivered == 0
+    p = Configuration([0, 0, 259, 1, 0])
+    res = max_deliverable(g, p, 0)
+    assert res.delivered == 64
+    assert _replay(p, res.moves)[0] == 64
+
+
+def test_engine_matches_oracle_past_8_vertices():
+    g = catalog("product:path:2,lemke1")
+    cases = _p2lemke_cases(random.Random(4), 150, 10)
+    assert {r for r, _ in cases} == {orbit[0] for orbit in vertex_orbits(g)}
+    for r, p in cases:
+        res = max_deliverable(g, p, r)
+        assert res.delivered == bfs_oracle(g, p, r)
+        assert _replay(p, res.moves)[r] - p[r] == res.delivered
+
+
+def test_step_weight_changes_never_rise(tmp_path):
+    # the DFS stops a vertex's step list at the first move below the target
+    rng = random.Random(6)
+    lemke = catalog("lemke1")
+    label = list(range(lemke.n))
+    rng.shuffle(label)
+    path = tmp_path / "scrambled.txt"
+    path.write_text(
+        f"{lemke.n} {len(lemke.edges)}\n"
+        + "".join(f"{label[u]} {label[v]}\n" for u, v in sorted(lemke.edges))
+    )
+    graphs = [catalog(s) for s in ("lemke1", "cube:4", "product:lemke1,lemke1")]
+    for g in graphs + [load_edge_list(str(path))]:
+        for r in range(g.n):
+            eng = FollowerEngine(g, r)
+            assert [u for u, _ in eng.steps] == [u for u in range(g.n) if u != r]
+            for _, steps in eng.steps:
+                dws = [dw for _, dw in steps]
+                assert dws == sorted(dws, reverse=True)
