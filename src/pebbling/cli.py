@@ -160,11 +160,14 @@ def cmd_plan(args) -> int:
 
 
 def cmd_batch(args) -> int:
-    p = load_plan(args.plan)
     shard = None
     if args.shard:
         index, _, width = args.shard.partition("/")
-        shard = (int(index), int(width))
+        try:
+            shard = (int(index), int(width))
+        except ValueError:
+            raise ValueError(f"--shard wants i/W, got {args.shard!r}") from None
+    p = load_plan(args.plan)
     records = run(p, args.time_cap, args.out, shard=shard, resume=args.resume)
     print(f"new_records {len(records)}")
     return 0
@@ -286,10 +289,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # solve, pis, pi and twopp bound the whole call; pik, graham and batch
-    # pass time_cap on, to bound each attempt at an instance on its own
-    args.deadline = deadline_in(getattr(args, "time_cap", None))
     try:
+        # solve, pis, pi and twopp bound the whole call; pik, graham and batch
+        # pass time_cap on, to bound each attempt at an instance on its own
+        args.deadline = deadline_in(getattr(args, "time_cap", None))
         return args.func(args)
     except TimeoutError:  # an OSError, so caught before the clause below
         print("status TimedOut")

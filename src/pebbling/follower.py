@@ -6,10 +6,10 @@ r is a sink.
 
 Layered decision procedure, sound at every layer:
   1. greedy collapse and stack-merge accepts (constructive move witnesses);
-     the merge accept first checks the sum of the single-source floors, then
-     tries, for each pair of stack vertices, only the meeting vertices that
-     no earlier vertex matches on all three distances, from a per-pair
-     meeting table built on first use,
+     the collapse is one farthest-first pass; the merge accept first checks
+     the sum of the single-source floors, then tries, for each pair of stack
+     vertices, only the meeting vertices that no earlier vertex matches on
+     all three distances, from a per-pair meeting table built on first use,
   2. exhaustive depth-first search over all weight-feasible moves, with a
      per-goal dead set of residual configurations known to fail; it tries
      each vertex's moves nearest-first and stops its move list at the first
@@ -68,7 +68,9 @@ class FollowerEngine:
         self.caps = [(1 << dv) - 1 for dv in self.d]  # most pebbles v holds unsolved alone
         # branching order: heads closer to r first, index ascending on ties
         moves = [sorted(g.adjacency[u], key=lambda w: (self.d[w], w)) for u in range(self.n)]
-        self.down_moves = [[w for w in moves[u] if self.d[w] < self.d[u]] for u in range(self.n)]
+        # the collapse's order: v != r farthest first, with its neighbours nearer r (one or more)
+        far = sorted((v for v in range(self.n) if v != r), key=lambda v: -self.d[v])
+        self.downhill = [(v, [w for w in moves[v] if self.d[w] < self.d[v]]) for v in far]
         # the DFS's moves out of each u != r, as (head, weight change), in that order
         self.steps = [
             (u, [(w, self.wt[w] - 2 * self.wt[u]) for w in moves[u]])
@@ -83,29 +85,16 @@ class FollowerEngine:
     # ----- cheap sound accepts (True => solvable; False => unknown) -----
 
     def _accept_collapse(self, q0, goal) -> bool:
+        """Move half of each stack onto its fullest neighbour nearer r, the
+        first on ties, in one farthest-first pass.  v receives only from
+        farther vertices, which come earlier, so no v != r ends with two
+        pebbles and a second pass would move nothing."""
         q = list(q0)
-        d, r = self.d, self.r
-        order = sorted((v for v in range(self.n) if v != r), key=lambda v: -d[v])
-        for _ in range(3):
-            moved = False
-            for v in order:
-                if q[v] < 2:
-                    continue
-                best = None
-                for w in self.down_moves[v]:
-                    if best is None or q[w] > q[best]:
-                        best = w
-                if best is None:
-                    continue
-                k = q[v] // 2
-                q[v] -= 2 * k
-                q[best] += k
-                moved = True
-            if q[r] >= goal:
-                return True
-            if not moved:
-                break
-        return False
+        for v, down in self.downhill:
+            if q[v] > 1:
+                q[max(down, key=q.__getitem__)] += q[v] >> 1
+                q[v] &= 1
+        return q[self.r] >= goal
 
     def _meeting(self, u: int, v: int):
         """Meeting vertices worth trying for stacks on u and v, as
@@ -113,8 +102,8 @@ class FollowerEngine:
 
         A w that some earlier w' matches or beats on all three distances
         never merges strictly better than w', so dropping it keeps the first
-        best meeting vertex of every merge.  w = 0 always stays, so no row
-        is empty.
+        best meeting vertex of every merge.  w = u always stays, as only u
+        is at distance 0 from u, so no row is empty.
         """
         D, r = self.D, self.r
         row = []
@@ -135,7 +124,8 @@ class FollowerEngine:
                 return True
             if len(stacks) < 2:
                 return False
-            # best merge: most pebbles onward to r, then most at w; first wins
+            # best merge: most pebbles onward to r, then most at w; first wins.
+            # Every stack holds a pebble and every row holds w = u, so one is found
             bk = bm = -1
             for i in range(len(stacks)):
                 u, a = stacks[i]
@@ -148,8 +138,6 @@ class FollowerEngine:
                             k = m >> dr
                             if k > bk or k == bk and m > bm:
                                 bk, bm, bi, bj, bw = k, m, i, j, w
-            if bm < 0:
-                return False
             stacks = [stacks[k] for k in range(len(stacks)) if k not in (bi, bj)]
             stacks.append([bw, bm])
 
@@ -253,10 +241,10 @@ class FollowerEngine:
             return False
         return self._accepts(q, goal) or self._search(q, W, goal, [], deadline)
 
-    def decide_cheap(self, counts, t: int = 1) -> bool:
-        """Sound accept-only check: True means solvable, False means unknown."""
-        q, goal, W = self._start(counts, t)
-        return t <= 0 or W >= goal * self.scale and self._accepts(q, goal)
+    def decide_cheap(self, counts) -> bool:
+        """Sound accept-only check of one arrival: True solvable, False unknown."""
+        q, goal, W = self._start(counts, 1)
+        return W >= goal * self.scale and self._accepts(q, goal)
 
     def trace(self, counts, t: int = 1, deadline: float | None = None) -> list[Arc] | None:
         """Exact search returning a legal move sequence with t arrivals, or None.
@@ -281,7 +269,10 @@ def _raise_recursion_limit(size: int):
 
 
 def deadline_in(cap: float | None) -> float | None:
-    """The time.monotonic() deadline cap seconds from now; None without a cap."""
+    """The time.monotonic() deadline cap seconds from now; None without a cap.
+    A cap not > 0 (NaN included) would time out every attempt: ValueError."""
+    if cap is not None and not cap > 0:
+        raise ValueError(f"time cap must be > 0 seconds, got {cap}")
     return None if cap is None else time.monotonic() + cap
 
 

@@ -73,12 +73,12 @@ class _Search:
         g, r = inst.graph, inst.root
         self.eng: FollowerEngine = engine_for(g, r)
         self.D = g.distance_table.dist
-        self.d = self.D[r]
+        d = self.D[r]
         self.n = g.n
         self.wt = self.eng.wt
         self.scale = self.eng.scale
         # big stacks first: far vertices carry the discriminating mass
-        self.sup = sorted(inst.support, key=lambda v: (-self.d[v], v))
+        self.sup = sorted(inst.support, key=lambda v: (-d[v], v))
         self.caps = [self.eng.caps[v] for v in self.sup]
         s = len(self.sup)
         # dominance index; bit c stands for the c-th learned core
@@ -120,15 +120,17 @@ class _Search:
         accepts; its up-set can never hold a witness.
 
         The core lies within q on the current path, so its bit joins every
-        prefix mask on the stack and prunes from the next placement on."""
+        prefix mask on the stack and prunes from the next placement on.
+        items come in sup order, farthest first, and minimize in that order;
+        a core is never all zero, as the empty probe weighs below the scale."""
         if self.ncores >= CORE_LIMIT:
             return
         core = dict(items)
         probe = [0] * self.n
         for v, a in items:
             probe[v] = a
-        for v in sorted(core, key=lambda v: -self.d[v]):
-            lo, hi = 0, core[v]
+        for v, hi in items:
+            lo = 0
             while lo < hi:
                 mid = (lo + hi) // 2
                 probe[v] = mid
@@ -136,10 +138,7 @@ class _Search:
                     hi = mid
                 else:
                     lo = mid + 1
-            core[v] = lo
-            probe[v] = lo
-        if not any(core.values()):
-            return
+            core[v] = probe[v] = lo
         bit = 1 << self.ncores
         self.ncores += 1
         last = 0
@@ -162,7 +161,7 @@ class _Search:
         s = len(sup)
         wt, scale = self.wt, self.scale
         eng = self.eng
-        D, d = self.D, self.d
+        D = self.D
         ok, pre, suf = self.ok, self.pre, self.suf
 
         def rec(i: int, rem: int, W: int, pcap, top) -> dict[int, int] | None:
@@ -179,15 +178,15 @@ class _Search:
                 return dict(placed)
             u1, y1, u2, y2 = top
             if u2 is None:
-                tcaps = [c if c > 0 else 0 for c in pcap[i:]]
+                tcaps = pcap[i:]  # never negative: no lone stack within its cap is accepted
             else:
-                # two largest placed stacks merged onto vj (or onto r) tighten its cap
+                # the two largest placed stacks merged onto vj tighten its cap;
+                # merged onto r they add nothing, as each lies within its cap
                 D1, D2 = D[u1], D[u2]
-                x = (y1 >> d[u1]) + (y2 >> d[u2])
                 tcaps = []
                 for j in range(i, s):
                     vj = sup[j]
-                    c = caps[j] - max((y1 >> D1[vj]) + (y2 >> D2[vj]), x >> d[vj])
+                    c = caps[j] - (y1 >> D1[vj]) - (y2 >> D2[vj])
                     if pcap[j] < c:
                         c = pcap[j]
                     tcaps.append(c if c > 0 else 0)

@@ -297,9 +297,16 @@ def test_plan_that_is_not_json_names_its_file(tmp_path, capsys):
         ("report --in {tmp}/missing.jsonl", "{tmp}/missing.jsonl"),
         ("batch --plan {tmp}/missing.json --out {tmp}/log.jsonl", "{tmp}/missing.json"),
         ("batch --plan {tmp} --out {tmp}/log.jsonl", "{tmp}"),
+        ("pi --graph cube:3 --time-cap 0", "time cap must be > 0 seconds, got 0.0"),
+        ("solve --graph path:3 --root 0 --config 2:9 --time-cap nan", "got nan"),
+        ("batch --plan {tmp}/p.json --out {tmp}/log.jsonl --time-cap -1", "got -1.0"),
+        ("batch --plan {tmp}/p.json --out {tmp}/log.jsonl --shard 1", "--shard wants i/W"),
+        ("batch --plan {tmp}/p.json --out {tmp}/log.jsonl --shard a/2", "got 'a/2'"),
     ],
     ids=["classes-root-99", "classes-root-neg", "cover-root-99", "cover-root-neg",
-         "report-missing-log", "batch-missing-plan", "batch-plan-is-dir"],
+         "report-missing-log", "batch-missing-plan", "batch-plan-is-dir",
+         "pi-zero-cap", "solve-nan-cap", "batch-negative-cap", "batch-shard-no-width",
+         "batch-shard-not-int"],
 )
 def test_bad_outside_input_is_one_error_line(tmp_path, capsys, argv, named):
     # main returning at all means no traceback; the message names the culprit
@@ -308,3 +315,17 @@ def test_bad_outside_input_is_one_error_line(tmp_path, capsys, argv, named):
     assert code == 2 and captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
     assert named.format(tmp=tmp_path) in captured.err
+
+
+def test_nonpositive_time_cap_settles_no_instance(tmp_path, capsys):
+    # a cap of -1 would time out every attempt and its retry, and a resumed
+    # batch would then count each instance as settled
+    plan_path, log_path = tmp_path / "plan.json", tmp_path / "log.jsonl"
+    run_cli(capsys, "plan", "--graph", "cube:3", "--k", "2", "--c", "4",
+            "--lower", "1", "--out", str(plan_path))
+    batch = ["batch", "--plan", str(plan_path), "--out", str(log_path)]
+    assert run_cli(capsys, *batch, "--time-cap", "-1") == (2, "")
+    assert not log_path.exists()
+    code, out = run_cli(capsys, *batch, "--resume", "--time-cap", "5")
+    instances = len(json.loads(plan_path.read_text())["instances"])
+    assert (code, out) == (0, f"new_records {instances}\n") and instances > 0

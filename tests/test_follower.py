@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import random
+import sys
 import time
 import weakref
 
@@ -350,8 +351,8 @@ def test_engine_matches_oracle_past_8_vertices():
         assert _replay(p, res.moves)[r] - p[r] == res.delivered
 
 
-def test_step_weight_changes_never_rise(tmp_path):
-    # the DFS stops a vertex's step list at the first move below the target
+def _scrambled_lemke1(tmp_path):
+    """lemke1 read from an edge list with scrambled vertex labels."""
     rng = random.Random(6)
     lemke = catalog("lemke1")
     label = list(range(lemke.n))
@@ -361,11 +362,113 @@ def test_step_weight_changes_never_rise(tmp_path):
         f"{lemke.n} {len(lemke.edges)}\n"
         + "".join(f"{label[u]} {label[v]}\n" for u, v in sorted(lemke.edges))
     )
+    return load_edge_list(str(path))
+
+
+def test_step_weight_changes_never_rise(tmp_path):
+    # the DFS stops a vertex's step list at the first move below the target
     graphs = [catalog(s) for s in ("lemke1", "cube:4", "product:lemke1,lemke1")]
-    for g in graphs + [load_edge_list(str(path))]:
+    for g in graphs + [_scrambled_lemke1(tmp_path)]:
         for r in range(g.n):
             eng = FollowerEngine(g, r)
             assert [u for u, _ in eng.steps] == [u for u in range(g.n) if u != r]
             for _, steps in eng.steps:
                 dws = [dw for _, dw in steps]
                 assert dws == sorted(dws, reverse=True)
+
+
+def _invariant_graphs(tmp_path):
+    """The graphs the cheap accepts' invariants are checked on."""
+    graphs = [catalog(s) for s in ("lemke1", "cube:4", "product:path:2,lemke1")]
+    return graphs + [_scrambled_lemke1(tmp_path)]
+
+
+def _three_round_collapse(g, r, q0, goal):
+    """The collapse as up to three farthest-first rounds, stopping at a round
+    that moves nothing; the reference for the one-pass accept."""
+    q = list(q0)
+    d = g.distance_table[r]
+    order = sorted((v for v in range(g.n) if v != r), key=lambda v: -d[v])
+    for _ in range(3):
+        moved = False
+        for v in order:
+            if q[v] < 2:
+                continue
+            best = None
+            for w in sorted(g.adjacency[v]):
+                if d[w] < d[v] and (best is None or q[w] > q[best]):
+                    best = w
+            if best is None:
+                continue
+            k = q[v] // 2
+            q[v] -= 2 * k
+            q[best] += k
+            moved = True
+        if q[r] >= goal:
+            return True
+        if not moved:
+            break
+    return False
+
+
+def test_one_pass_collapse_equals_three_rounds(tmp_path):
+    rng = random.Random(12)
+    for g in _invariant_graphs(tmp_path):
+        for r in range(g.n):
+            eng = FollowerEngine(g, r)
+            d = g.distance_table[r]
+            for _ in range(40):
+                counts = [0] * g.n
+                for v in rng.sample(range(g.n), rng.randint(1, 5)):
+                    counts[v] = rng.randint(1, 2 << d[v])
+                # the goals up to the reference's first failure pin q[r] after the pass
+                goal = counts[r] + 1
+                while _three_round_collapse(g, r, counts, goal):
+                    assert eng._accept_collapse(counts, goal)
+                    goal += 1
+                assert not eng._accept_collapse(counts, goal)
+
+
+def test_every_meeting_row_holds_u(tmp_path):
+    # so a merge of two nonempty stacks always gathers a pebble somewhere
+    for g in _invariant_graphs(tmp_path):
+        for r in range(g.n):
+            eng = FollowerEngine(g, r)
+            for u in range(g.n):
+                for v in range(g.n):
+                    assert (u, 0) in {(w, du) for w, du, _, _ in eng._meeting(u, v)}
+
+
+def test_bounded_dead_sets_keep_exact_answers(monkeypatch):
+    # a dead set past DEAD_SET_LIMIT is cleared before it grows by one more
+    limit = 20
+    monkeypatch.setattr("pebbling.follower.DEAD_SET_LIMIT", limit)
+    g = catalog("product:path:2,lemke1")
+    sizes, cleared = {}, False
+    for r, p in _p2lemke_cases(random.Random(7), 60, 10):
+        best = bfs_oracle(g, p, r)
+        res = max_deliverable(g, p, r)
+        assert res.delivered == best
+        assert _replay(p, res.moves)[r] - p[r] == best
+        eng = engine_for(g, r)
+        for t in (best, best + 1):
+            if t >= 1:
+                assert eng.decide(p.counts, t) == (t <= best)
+        for goal, dead in eng._dead.items():
+            assert len(dead) <= limit + 1
+            cleared |= len(dead) < sizes.get((r, goal), 0)
+            sizes[r, goal] = len(dead)
+    assert cleared
+
+
+def test_deep_delivery_raises_the_recursion_limit():
+    # 1,500 moves deep: past the interpreter's default limit of 1,000 frames
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        p = Configuration([0, 0, 2000])
+        res = max_deliverable(catalog("path:3"), p, 0)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (res.delivered, len(res.moves)) == (500, 1500)
+    assert _replay(p, res.moves)[0] == 500

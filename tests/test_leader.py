@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import random
 import time
 from itertools import combinations, product
 
 import pytest
 
-from pebbling.follower import engine_for
+from pebbling.follower import FollowerEngine, engine_for
 from pebbling.graphs import Graph, catalog
 from pebbling.leader import (
     BilevelInstance,
@@ -286,3 +287,34 @@ def test_warm_frontier_table_matches_cold():
                     assert (out.status, out.value, out.witness) == (
                         cold.status, cold.value, cold.witness), (spec, r, S)
                     assert _Search(BilevelInstance(g, r, S), None).cut == cold_cut, (spec, r, S)
+
+
+def test_pair_frontiers_lie_within_the_caps():
+    # rec's one-stack branch takes pcap as it is: no frontier entry is negative
+    lemke = catalog("lemke1")
+    label = list(range(lemke.n))
+    random.Random(6).shuffle(label)
+    scrambled = Graph(lemke.n, [(label[u], label[v]) for u, v in lemke.edges])
+    graphs = [catalog(s) for s in ("lemke1", "cube:4", "product:path:2,lemke1")]
+    for g in graphs + [scrambled]:
+        for r in range(g.n):
+            eng = FollowerEngine(g, r)
+            d = g.distance_table[r]
+            order = sorted((v for v in range(g.n) if v != r), key=lambda v: (-d[v], v))
+            for u, v in combinations(order, 2):
+                fwd, back = eng.frontier(u, v)
+                assert all(0 <= c <= eng.caps[v] for c in fwd)
+                assert all(0 <= c <= eng.caps[u] for c in back)
+
+
+def test_learned_cores_are_never_all_zero():
+    # an all-zero core would sit in suf[0] and prune every placement
+    learned = 0
+    for spec, r, support, value, _ in PINNED[3:11]:
+        search = _Search(BilevelInstance(catalog(spec), r, support), None)
+        for m in range(1, value + 2):
+            assert (search.find_witness(m) is None) == (m > value)
+        for c in range(search.ncores):
+            assert any(not row[0] >> c & 1 for row in search.ok)
+        learned += search.ncores
+    assert learned > 0

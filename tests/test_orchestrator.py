@@ -247,6 +247,27 @@ def test_resume_after_torn_line_redoes_instance(tmp_path):
     assert len(out.read_text().splitlines()) == before + 1
 
 
+def test_blank_lines_in_a_log_are_skipped(tmp_path):
+    out = tmp_path / "log.jsonl"
+    k1, k2 = (json.dumps(asdict(_record(key))) for key in ("k1", "k2"))
+    out.write_text(f"\n{k1}\n\n  \n{k2}\n")
+    assert [rec.key for rec in load_records(str(out))] == ["k1", "k2"]
+
+
+def test_resume_keeps_a_whole_unterminated_record(tmp_path):
+    g = catalog("path:3")
+    p = plan(g, 1, 1, 1, None, workers=1, graph_spec="path:3")
+    out = tmp_path / "results.jsonl"
+    run(p, None, str(out), graph=g)
+    # the final record lost and the one before it left without its newline
+    text = out.read_text().splitlines()
+    out.write_text("\n".join(text[:-1]))
+    assert len(run(p, None, str(out), graph=g)) == 1
+    # the kept record was ended with a newline before the redone one was appended
+    assert out.read_text().splitlines()[:-1] == text[:-1]
+    assert len(load_records(str(out))) == len(text)
+
+
 def test_timeout_retries_once(tmp_path):
     # eight distance-4 support vertices need real search, so a tiny cap trips
     g = catalog("product:lemke1,lemke1")
