@@ -3,7 +3,7 @@ support-restricted bounds via automorphism orbits and covering designs."""
 
 from .configurations import Configuration, apply_move, parse_config_literal, weight
 from .covering import CoveringDesign, greedy_cover, validate_cover
-from .follower import DeliveryResult, bfs_oracle, is_solvable, max_deliverable
+from .follower import DeliveryResult, bfs_oracle, max_deliverable
 from .graphs import Arc, DistanceTable, Graph, cartesian_product, catalog, load_edge_list
 from .leader import BilevelInstance, BilevelOutcome, max_unsolvable, pi_support
 from .pipeline import (
@@ -15,13 +15,6 @@ from .pipeline import (
     pi_rooted,
     two_pebbling_witness,
 )
-from .symmetry import (
-    AutGroup,
-    Permutation,
-    SupportClasses,
-    automorphisms,
-    support_class_reps,
-    vertex_orbits,
-)
+from .symmetry import SupportClasses, automorphisms, support_class_reps, vertex_orbits
 
 __all__ = [name for name in dir() if not name.startswith("_")]

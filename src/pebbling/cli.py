@@ -88,12 +88,13 @@ def cmd_classes(args) -> int:
 def cmd_cover(args) -> int:
     g = parse_graph_spec(args.graph)
     sets = root_cover(g, args.root, args.k, args.c)
+    if args.emit_plan:  # before any output, so a bad --lower prints only the error
+        p = plan_from_covers(args.graph, args.k, args.c, args.lower, None, 1, [(args.root, sets)])
     print(f"sets {len(sets)}")
     if args.sets:
         for s in sets:
             print(",".join(map(str, s)))
     if args.emit_plan:
-        p = plan_from_covers(args.graph, args.k, args.c, args.lower, None, 1, [(args.root, sets)])
         save_plan(p, args.emit_plan)
         print(f"plan written to {args.emit_plan}")
     return 0

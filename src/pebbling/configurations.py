@@ -2,29 +2,29 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .graphs import Arc, DistanceTable, Graph
 
 MAX_SIZE = 1 << 16  # configurations beyond this are outside the artifact's scope
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class Configuration:
-    """Immutable map vertex -> non-negative pebble count, stored densely."""
+    """Immutable map vertex -> non-negative pebble count, stored densely;
+    counts may be any iterable of ints and is kept as a tuple."""
 
-    __slots__ = ("counts",)
+    counts: tuple[int, ...]
 
-    def __init__(self, counts: Iterable[int]):
-        counts = tuple(int(c) for c in counts)
+    def __post_init__(self):
+        counts = tuple(map(int, self.counts))
         if any(c < 0 for c in counts):
             raise ValueError("negative pebble count")
         if sum(counts) > MAX_SIZE:
             raise ValueError(f"configuration size exceeds {MAX_SIZE}")
         object.__setattr__(self, "counts", counts)
-
-    def __setattr__(self, *_):
-        raise AttributeError("Configuration is immutable")
 
     @classmethod
     def from_map(cls, n: int, placed: Mapping[int, int]) -> "Configuration":
@@ -37,21 +37,6 @@ class Configuration:
 
     def __getitem__(self, v: int) -> int:
         return self.counts[v]
-
-    def __len__(self):
-        return len(self.counts)
-
-    def __eq__(self, other):
-        return isinstance(other, Configuration) and self.counts == other.counts
-
-    def __hash__(self):
-        return hash(self.counts)
-
-    def size(self) -> int:
-        return sum(self.counts)
-
-    def support(self) -> frozenset[int]:
-        return frozenset(v for v, c in enumerate(self.counts) if c > 0)
 
     def to_map(self) -> dict[int, int]:
         return {v: c for v, c in enumerate(self.counts) if c > 0}

@@ -225,8 +225,8 @@ class FollowerEngine:
 
     def _search(self, q, W, goal, path, deadline) -> bool:
         """The exact search, on the dead set this engine keeps for goal."""
-        _raise_recursion_limit(sum(q))
-        return self._dfs(q, W, goal, self._dead.setdefault(goal, set()), path, deadline)
+        dead = self._dead.setdefault(goal, set())
+        return _with_recursion_room(sum(q), self._dfs, q, W, goal, dead, path, deadline)
 
     def decide(self, counts, t: int = 1, deadline: float | None = None) -> bool:
         """Exact: can t pebbles arrive at r (on top of any already there)?
@@ -262,17 +262,27 @@ class FollowerEngine:
         return path[::-1] if self._search(q, W, goal, path, deadline) else None
 
 
-def _raise_recursion_limit(size: int):
-    need = 2 * size + 200
-    if sys.getrecursionlimit() < need:
-        sys.setrecursionlimit(need)
+def _with_recursion_room(size: int, search, *args):
+    """search(*args) under a recursion limit that fits a search size moves
+    deep; the interpreter's old limit comes back on return and on raise."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old, 2 * size + 200))
+    try:
+        return search(*args)
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def check_time_cap(cap: float | None):
+    """A cap not > 0 (NaN included) would time out every attempt: ValueError."""
+    if cap is not None and not cap > 0:
+        raise ValueError(f"time cap must be > 0 seconds, got {cap}")
 
 
 def deadline_in(cap: float | None) -> float | None:
     """The time.monotonic() deadline cap seconds from now; None without a cap.
-    A cap not > 0 (NaN included) would time out every attempt: ValueError."""
-    if cap is not None and not cap > 0:
-        raise ValueError(f"time cap must be > 0 seconds, got {cap}")
+    A cap that check_time_cap rejects raises ValueError."""
+    check_time_cap(cap)
     return None if cap is None else time.monotonic() + cap
 
 
@@ -287,13 +297,6 @@ def engine_for(g: Graph, r: int) -> FollowerEngine:
     if eng is None:
         eng = engines[r] = FollowerEngine(g, r)
     return eng
-
-
-def is_solvable(g: Graph, p: Configuration, r: int) -> bool:
-    """True iff some pebbling move sequence places a pebble on r."""
-    if p[r] >= 1:
-        return True
-    return engine_for(g, r).decide(p.counts, 1)
 
 
 def max_deliverable(
@@ -322,7 +325,6 @@ def bfs_oracle(g: Graph, p: Configuration, r: int, budget: int = 5_000_000) -> i
     n = g.n
     start = tuple(p.counts)
     memo: dict[tuple, int] = {}
-    _raise_recursion_limit(sum(start))
     adjacency = g.adjacency
 
     def best(q: tuple) -> int:
@@ -347,4 +349,4 @@ def bfs_oracle(g: Graph, p: Configuration, r: int, budget: int = 5_000_000) -> i
         memo[q] = top
         return top
 
-    return best(start) - p[r]
+    return _with_recursion_room(sum(start), best, start) - p[r]

@@ -59,9 +59,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
-
     def __repr__(self):
         return f"Graph({self.name!r}, n={self.n}, m={len(self.edges)})"
 

@@ -34,6 +34,14 @@ from .graphs import Graph
 CORE_LIMIT = 400
 
 
+def check_bounds(lower: int, upper: int | None):
+    """The size window every instance needs: L >= 1 and, with a U, L <= U."""
+    if lower < 1:
+        raise ValueError(f"need L >= 1, got L={lower}")
+    if upper is not None and lower > upper:
+        raise ValueError(f"need L <= U, got L={lower}, U={upper}")
+
+
 @dataclass(frozen=True)
 class BilevelInstance:
     graph: Graph
@@ -50,10 +58,7 @@ class BilevelInstance:
             raise ValueError("root may not belong to the support")
         if any(not 0 <= v < g.n for v in self.support):
             raise ValueError("support vertex out of range")
-        if self.lower < 1:
-            raise ValueError(f"need L >= 1, got L={self.lower}")
-        if self.upper is not None and self.lower > self.upper:
-            raise ValueError(f"need L <= U, got L={self.lower}, U={self.upper}")
+        check_bounds(self.lower, self.upper)
         object.__setattr__(self, "support", tuple(sorted(set(self.support))))
 
 

@@ -18,9 +18,9 @@ from collections import Counter
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from .covering import greedy_cover, validate_cover
-from .follower import deadline_in
+from .follower import check_time_cap, deadline_in
 from .graphs import Graph, parse_graph_spec
-from .leader import BilevelInstance, max_unsolvable
+from .leader import BilevelInstance, check_bounds, max_unsolvable
 from .symmetry import automorphisms, orbit_representatives, support_class_reps
 
 PLAN_FORMAT_VERSION = 1
@@ -109,6 +109,7 @@ def plan(
     """Generate all (root, cover-set) instances and assign roots to workers."""
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    check_bounds(lower, upper)
     covers = root_covers(g, k, c)
     return plan_from_covers(graph_spec or g.name, k, c, lower, upper, workers, covers)
 
@@ -123,6 +124,7 @@ def plan_from_covers(
     covers: list[tuple[int, list[tuple[int, ...]]]],
 ) -> JobPlan:
     """One instance per (root, cover set); whole roots go round-robin to workers."""
+    check_bounds(lower, upper)
     covers = sorted(covers, key=lambda rc: (-len(rc[1]), rc[0]))
     instances = []
     for slot, (r, sets) in enumerate(covers):
@@ -157,7 +159,8 @@ def save_plan(p: JobPlan, path: str):
 
 
 def load_plan(path: str) -> JobPlan:
-    """Read a plan; bad JSON or a missing or mistyped field raises ValueError naming the file."""
+    """Read a plan; bad JSON, a missing or mistyped field, or an (L, U) pair
+    that check_bounds rejects raises ValueError naming the file."""
     with open(path) as fh:
         try:
             payload = json.load(fh)
@@ -170,6 +173,12 @@ def load_plan(path: str) -> JobPlan:
     p.instances = [
         _from_json(PlannedInstance, i, f"{path}: instance {n}") for n, i in enumerate(p.instances)
     ]
+    named = [(path, p), *((f"{path}: instance {n}", i) for n, i in enumerate(p.instances))]
+    for where, item in named:
+        try:
+            check_bounds(item.lower, item.upper)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
     return p
 
 
@@ -258,7 +267,9 @@ def run(
 
     Every record `execute` yields, a TimedOut one and its retry alike, is
     appended before the next attempt starts; the retry record supersedes.
+    A time_cap that check_time_cap rejects raises before the log is touched.
     """
+    check_time_cap(time_cap)
     g = graph or parse_graph_spec(p.graph_spec)
     todo = p.instances
     if shard is not None:

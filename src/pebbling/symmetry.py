@@ -2,10 +2,10 @@
 
 The group is found by backtracking over a color-refinement partition, so
 product graphs are handled directly without assuming anything about how
-their groups factor.  Subset classes use a canonical form, the
-lexicographically minimal sorted image under the group; one array sweep
-over all k-subsets keeps, permutation by permutation, the subsets that no
-image undercuts.
+their groups factor.  It is a plain list of image tuples: p[v] is the
+image of v.  Subset classes use a canonical form, the lexicographically
+minimal sorted image under the group; one array sweep over all k-subsets
+keeps, permutation by permutation, the subsets that no image undercuts.
 """
 
 from __future__ import annotations
@@ -20,20 +20,6 @@ from .graphs import Graph
 
 MATERIALIZE_LIMIT = 1_000_000
 _HASH_MIX = np.uint64(0x9E3779B97F4A7C15)
-
-
-@dataclass(frozen=True)
-class Permutation:
-    image: tuple[int, ...]
-
-    def apply_set(self, vs) -> tuple[int, ...]:
-        return tuple(sorted(self.image[v] for v in vs))
-
-
-@dataclass
-class AutGroup:
-    order: int
-    elements: list[Permutation]
 
 
 @dataclass
@@ -58,8 +44,8 @@ def _refine_colors(g: Graph, colors: list[int]) -> list[int]:
         colors = fresh
 
 
-def automorphisms(g: Graph) -> AutGroup:
-    """All adjacency-preserving vertex bijections, with exact order."""
+def automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """All adjacency-preserving vertex bijections, each as its tuple of images."""
     n = g.n
     colors = _refine_colors(g, [g.degree(v) for v in range(n)])
     cells: dict[int, list[int]] = {}
@@ -80,13 +66,13 @@ def automorphisms(g: Graph) -> AutGroup:
                 queue.append(w)
 
     adjacency_sets = [set(ns) for ns in g.adjacency]
-    found: list[Permutation] = []
+    found: list[tuple[int, ...]] = []
     image = [-1] * n
     used = [False] * n
 
     def extend(pos: int):
         if pos == n:
-            found.append(Permutation(tuple(image)))
+            found.append(tuple(image))
             if len(found) > MATERIALIZE_LIMIT:
                 raise ValueError("automorphism group exceeds materialization limit")
             return
@@ -107,22 +93,24 @@ def automorphisms(g: Graph) -> AutGroup:
                 image[u] = -1
 
     extend(0)
-    return AutGroup(order=len(found), elements=found)
+    return found
 
 
-def vertex_orbits(g: Graph, group: AutGroup | None = None) -> list[tuple[int, ...]]:
+def vertex_orbits(
+    g: Graph, group: list[tuple[int, ...]] | None = None
+) -> list[tuple[int, ...]]:
     """Orbits of the automorphism action, each sorted, listed by minimum member."""
     group = group or automorphisms(g)
-    orbits = {tuple(sorted({p.image[v] for p in group.elements})) for v in range(g.n)}
+    orbits = {tuple(sorted({p[v] for p in group})) for v in range(g.n)}
     return sorted(orbits)
 
 
-def orbit_representatives(g: Graph, group: AutGroup | None = None) -> list[int]:
+def orbit_representatives(g: Graph, group: list[tuple[int, ...]] | None = None) -> list[int]:
     return [orbit[0] for orbit in vertex_orbits(g, group)]
 
 
-def stabilizer(group: AutGroup, r: int) -> list[Permutation]:
-    return [p for p in group.elements if p.image[r] == r]
+def stabilizer(group: list[tuple[int, ...]], r: int) -> list[tuple[int, ...]]:
+    return [p for p in group if p[r] == r]
 
 
 def _scrambled_order(masks: np.ndarray) -> np.ndarray:
@@ -131,7 +119,7 @@ def _scrambled_order(masks: np.ndarray) -> np.ndarray:
 
 
 def support_class_reps(
-    g: Graph, r: int, k: int, group: AutGroup | None = None
+    g: Graph, r: int, k: int, group: list[tuple[int, ...]] | None = None
 ) -> SupportClasses:
     """Representatives of k-subsets of V minus the root, up to the root stabilizer.
 
@@ -154,10 +142,12 @@ def support_class_reps(
     return SupportClasses(root=r, k=k, reps=reps, class_count=len(reps))
 
 
-def subset_orbit_reps(g: Graph, k: int, group: AutGroup | None = None) -> list[tuple[int, ...]]:
+def subset_orbit_reps(
+    g: Graph, k: int, group: list[tuple[int, ...]] | None = None
+) -> list[tuple[int, ...]]:
     """Representatives of k-subsets of V under the full automorphism group."""
     group = group or automorphisms(g)
-    reps = _canonical_subsets(group.elements, range(g.n), k)
+    reps = _canonical_subsets(group, range(g.n), k)
     return [tuple(row) for row in reps.tolist()]
 
 
@@ -174,7 +164,7 @@ def _canonical_subsets(perms, others, k) -> np.ndarray:
         chain.from_iterable(combinations(others, k)), dtype=np.intp, count=count * k
     ).reshape(count, k)
     for p in perms:
-        image = np.asarray(p.image, dtype=np.intp)[rows]
+        image = np.asarray(p, dtype=np.intp)[rows]
         image.sort(axis=1)
         lower = np.zeros(len(rows), dtype=bool)
         equal = np.ones(len(rows), dtype=bool)

@@ -155,7 +155,7 @@ def test_two_pebbling_witness_for_lemke_graph():
     assert found is not None
     p, r = found
     value = pi(g)
-    assert p.size() == 2 * value - len(p.support()) + 1
+    assert sum(p.counts) == 2 * value - len(set(p.to_map())) + 1
     delivered = max_deliverable(g, p, r).delivered
     assert delivered + p[r] < 2
     # independent audit of the deficiency
@@ -165,7 +165,7 @@ def test_two_pebbling_witness_for_lemke_graph():
     elapsed = time.perf_counter() - t0
     assert elapsed < 1800
     print(
-        f"\nPASS two-pebbling deficiency: lemke1 witness size {p.size()} at root {r} "
+        f"\nPASS two-pebbling deficiency: lemke1 witness size {sum(p.counts)} at root {r} "
         f"delivers {delivered + p[r]} < 2; complete:4 and path:3 clean; {elapsed:.1f}s"
     )
 
@@ -360,8 +360,8 @@ def test_bilevel_agrees_with_exhaustive_enumeration():
                             assert out.status == "Optimal"
                             assert out.value == best
                             w = out.witness
-                            assert w.size() == best
-                            assert set(w.support()) <= set(S)
+                            assert sum(w.counts) == best
+                            assert set(w.to_map()) <= set(S)
                             assert not eng.decide(w, 1)
                         capped = max_unsolvable(
                             BilevelInstance(g, r, S, lower=n)

@@ -302,11 +302,18 @@ def test_plan_that_is_not_json_names_its_file(tmp_path, capsys):
         ("batch --plan {tmp}/p.json --out {tmp}/log.jsonl --time-cap -1", "got -1.0"),
         ("batch --plan {tmp}/p.json --out {tmp}/log.jsonl --shard 1", "--shard wants i/W"),
         ("batch --plan {tmp}/p.json --out {tmp}/log.jsonl --shard a/2", "got 'a/2'"),
+        ("plan --graph cube:3 --k 2 --c 3 --lower 0 --out {tmp}/p.json", "need L >= 1, got L=0"),
+        ("plan --graph cube:3 --k 2 --c 3 --lower 5 --upper 2 --out {tmp}/p.json",
+         "need L <= U, got L=5, U=2"),
+        ("cover --graph cube:3 --root 0 --k 2 --c 3 --emit-plan {tmp}/p.json --lower 0",
+         "need L >= 1, got L=0"),
+        ("pik --graph cube:3 --k 2 --c 3 --lower 0", "need L >= 1, got L=0"),
     ],
     ids=["classes-root-99", "classes-root-neg", "cover-root-99", "cover-root-neg",
          "report-missing-log", "batch-missing-plan", "batch-plan-is-dir",
          "pi-zero-cap", "solve-nan-cap", "batch-negative-cap", "batch-shard-no-width",
-         "batch-shard-not-int"],
+         "batch-shard-not-int", "plan-lower-0", "plan-upper-below-lower",
+         "cover-emit-plan-lower-0", "pik-lower-0"],
 )
 def test_bad_outside_input_is_one_error_line(tmp_path, capsys, argv, named):
     # main returning at all means no traceback; the message names the culprit

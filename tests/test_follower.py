@@ -15,7 +15,6 @@ from pebbling.follower import (
     OracleBudgetError,
     bfs_oracle,
     engine_for,
-    is_solvable,
     max_deliverable,
 )
 from pebbling.graphs import Graph, catalog, load_edge_list
@@ -29,12 +28,16 @@ def _replay(p, moves):
     return p
 
 
+def _is_solvable(g, p, r) -> bool:
+    return p[r] >= 1 or engine_for(g, r).decide(p.counts)
+
+
 def test_solvable_basics():
     g = catalog("path:3")
-    assert is_solvable(g, Configuration([0, 0, 4]), 0)
-    assert not is_solvable(g, Configuration([0, 0, 3]), 0)
-    assert is_solvable(g, Configuration([1, 0, 0]), 0)
-    assert is_solvable(g, Configuration([0, 2, 0]), 0)
+    assert _is_solvable(g, Configuration([0, 0, 4]), 0)
+    assert not _is_solvable(g, Configuration([0, 0, 3]), 0)
+    assert _is_solvable(g, Configuration([1, 0, 0]), 0)
+    assert _is_solvable(g, Configuration([0, 2, 0]), 0)
 
 
 def test_max_deliverable_path():
@@ -63,19 +66,19 @@ def test_lemke1_has_unsolvable_size7():
     # a maximum unsolvable configuration for root 0: adding any pebble solves it
     g = catalog("lemke1")
     p = Configuration([0, 0, 3, 1, 1, 1, 0, 1])
-    assert not is_solvable(g, p, 0)
+    assert not _is_solvable(g, p, 0)
     assert max_deliverable(g, p, 0).delivered == 0
     for u in range(g.n):
         q = list(p)
         q[u] += 1
-        assert is_solvable(g, Configuration(q), 0)
+        assert _is_solvable(g, Configuration(q), 0)
 
 
 def test_delivery_result_replays_legally():
     g = catalog("cube:3")
     p = Configuration([0, 3, 2, 0, 5, 0, 1, 6])
     res = max_deliverable(g, p, 0)
-    assert len(res.moves) <= p.size()
+    assert len(res.moves) <= sum(p.counts)
     assert all(a.tail != 0 for a in res.moves)
     assert _replay(p, res.moves)[0] - p[0] == res.delivered
 
@@ -462,12 +465,17 @@ def test_bounded_dead_sets_keep_exact_answers(monkeypatch):
 
 
 def test_deep_delivery_raises_the_recursion_limit():
-    # 1,500 moves deep: past the interpreter's default limit of 1,000 frames
+    # 1,500 moves deep: past the interpreter's default limit of 1,000 frames;
+    # each search raises the limit only while it runs, timed out or not
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
         p = Configuration([0, 0, 2000])
         res = max_deliverable(catalog("path:3"), p, 0)
+        assert sys.getrecursionlimit() == 1000
+        with pytest.raises(TimeoutError):
+            max_deliverable(catalog("path:3"), p, 0, time.monotonic() - 1)
+        assert sys.getrecursionlimit() == 1000
     finally:
         sys.setrecursionlimit(limit)
     assert (res.delivered, len(res.moves)) == (500, 1500)

@@ -98,7 +98,8 @@ def _from_imports(tree, top: str | None = None) -> list[str]:
 
 
 def _unreferenced_publics(package: dict[str, str], users: dict[str, str]) -> list[str]:
-    """Public top-level functions and classes of `package` that no code refers to.
+    """Public top-level functions and classes of `package`, and public methods
+    of its classes (as `Class.method`), that no code refers to.
 
     A reference counts from any package module but `__init__.py` (re-exports
     do not count), including the names in `from ... import` lines; a def's
@@ -113,13 +114,23 @@ def _unreferenced_publics(package: dict[str, str], users: dict[str, str]) -> lis
             everywhere.update(_from_imports(tree, "pebbling"))
         elif name != "__init__.py":
             everywhere.update(_references(tree) + _from_imports(tree))
+    defs = []
+    for module in package:
+        if module == "__init__.py":
+            continue
+        for node in trees[module].body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.append((module, node.name, node))
+            if isinstance(node, ast.ClassDef):
+                defs += [
+                    (module, f"{node.name}.{sub.name}", sub)
+                    for sub in node.body
+                    if isinstance(sub, ast.FunctionDef)
+                ]
     return [
-        f"{module}: {node.name}"
-        for module in package
-        if module != "__init__.py"
-        for node in trees[module].body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
+        f"{module}: {label}"
+        for module, label, node in defs
+        if not node.name.startswith("_")
         and everywhere[node.name] == _references(node).count(node.name)
     ]
 
@@ -198,17 +209,27 @@ def test_unreferenced_publics_detector():
     package = {
         "__init__.py": "from .a import exported\n",
         "a.py": "def exported():\n    return exported()\ndef helper():\n    pass\n",
-        "b.py": "from .a import helper\nclass Used:\n    pass\nclass Unused:\n    pass\n",
+        "b.py": (
+            "from .a import helper\n"
+            "class Used:\n"
+            "    def called(self):\n        return self.called()\n"
+            "    def _private(self):\n        return self.called\n"
+            "    def unused(self):\n        return self.unused()\n"
+            "class Unused:\n    pass\n"
+        ),
     }
     users = {"bench.py": "from pebbling.b import Used\nfrom os import Unused\nUnused = Used()\n"}
-    assert _unreferenced_publics(package, users) == ["a.py: exported", "b.py: Unused"]
+    assert _unreferenced_publics(package, users) == [
+        "a.py: exported",
+        "b.py: Used.unused",
+        "b.py: Unused",
+    ]
 
 
 # The reference checkers: the tests compare the engine against them, and no
 # program path calls them yet.
 REFERENCE_CHECKERS = {
     "apply_move": "replays move certificates one legal move at a time",
-    "is_solvable": "asks the yes/no question of a Configuration; tests check decide with it",
     "weight": "the exact Fraction weight that the tests check the engine's bound against",
 }
 

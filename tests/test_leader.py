@@ -85,7 +85,7 @@ def test_witness_is_unsolvable_and_one_above_fails():
     eng = engine_for(g, 0)
     assert not eng.decide(out.witness.counts)
     assert set(out.witness.to_map()) <= set(support)
-    assert out.witness.size() == out.value
+    assert sum(out.witness.counts) == out.value
     # maximality: every configuration of size value + 1 over S is solvable
     for extra in _compositions_over(support, out.value + 1):
         counts = [0] * g.n

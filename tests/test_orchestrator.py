@@ -17,10 +17,12 @@ from pebbling.orchestrator import (
     load_plan,
     load_records,
     plan,
+    plan_from_covers,
     report,
     run,
     save_plan,
 )
+from pebbling.pipeline import pi_k_upper
 from pebbling.symmetry import orbit_representatives
 
 
@@ -75,6 +77,18 @@ def test_plan_rejects_bad_workers():
         plan(catalog("path:3"), 1, 1, 1, None, workers=0)
 
 
+def test_bad_bounds_fail_before_any_cover_is_built(monkeypatch):
+    monkeypatch.setattr(orchestrator, "support_class_reps", None)  # calling it raises TypeError
+    g = catalog("cube:3")
+    for lower, upper in ((0, None), (5, 2)):
+        with pytest.raises(ValueError, match="^need L"):
+            plan(g, 2, 3, lower, upper, workers=1)
+        with pytest.raises(ValueError, match="^need L"):
+            plan_from_covers("cube:3", 2, 3, lower, upper, 1, [(0, [(1, 2, 3)])])
+    with pytest.raises(ValueError, match="^need L >= 1"):
+        pi_k_upper(g, 2, 3, lower=0)
+
+
 def test_plan_rejects_a_cover_that_misses_a_class(tmp_path, monkeypatch, capsys):
     real = orchestrator.greedy_cover
 
@@ -121,6 +135,8 @@ def test_load_plan_rejects_other_versions(tmp_path):
         ("instance 0", lambda p: p["instances"][0].update(root="0")),
         ("instance 0", lambda p: p["instances"][0].update(support=[1.5])),
         ("instance 0", lambda p: p["instances"].__setitem__(0, [])),
+        ("plan", lambda p: p.update(lower=0)),
+        ("instance 0", lambda p: p["instances"][0].update(upper=0)),
     ],
 )
 def test_load_plan_names_a_missing_or_mistyped_field(tmp_path, where, edit):
@@ -145,6 +161,23 @@ def test_run_executes_and_logs(tmp_path):
     assert [r.key for r in on_disk] == [r.key for r in records]
     assert all(r.status == "Optimal" for r in on_disk)
     assert not any(r.retried for r in on_disk)
+
+
+def test_run_rejects_a_cap_not_above_zero_before_touching_the_log(tmp_path):
+    # an empty plan too: with nothing to run, the cap would pass unnoticed
+    g = catalog("path:3")
+    full = plan(g, 1, 1, 1, None, workers=1, graph_spec="path:3")
+    empty = JobPlan("path:3", 1, 1, 1, None, 1)
+    out = tmp_path / "results.jsonl"
+    for cap in (0, -1, float("nan")):
+        for p in (full, empty):
+            with pytest.raises(ValueError, match="time cap must be > 0 seconds"):
+                run(p, cap, str(out), graph=g)
+            assert not out.exists()
+    out.write_text('{"key": "torn')  # _seal_tail would cut this line
+    with pytest.raises(ValueError, match="time cap"):
+        run(full, 0, str(out), graph=g)
+    assert out.read_text() == '{"key": "torn'
 
 
 def test_optimal_witness_survives_the_log(tmp_path):
