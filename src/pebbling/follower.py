@@ -19,11 +19,13 @@ Layer 1 only ever claims "solvable"; layer 2 is complete.  decide runs
 both; max_deliverable runs only layer 2, one search per goal, and keeps the
 path of the last goal it reaches.
 
-One engine per (graph, root) lives as long as its graph and owns three
+One engine per (graph, root) lives as long as its graph and owns four
 tables that it shares across calls: its dead sets (decide's and
-max_deliverable's alike), its meeting table, and its frontier table, which
+max_deliverable's alike), its meeting table, its frontier table, which
 holds for each pair of support vertices the leader's exact pair frontier of
-the cheap accepts, probed on first use.  A deadline belongs to one call.
+the cheap accepts, probed on first use, and r's stabilizer in the
+automorphism group, which the leader lists on first use.  A deadline
+belongs to one call.
 bfs_oracle is the reference checker that re-verifies answers independently.
 """
 
@@ -81,6 +83,8 @@ class FollowerEngine:
         self._dead: dict[int, set] = {}
         self._meet: list[list | None] = [None] * (self.n * self.n)
         self.fronts: list[tuple | None] = [None] * (self.n * self.n)
+        # r's stabilizer as image tuples; the leader lists it, as only it holds the graph
+        self.stab: list[tuple[int, ...]] | None = None
 
     # ----- cheap sound accepts (True => solvable; False => unknown) -----
 

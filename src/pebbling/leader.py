@@ -19,7 +19,29 @@ per-vertex solvability caps (2^dist - 1), and prunes with:
     Cores live in a bitset index: ok[j][a] marks the cores needing at most
     a pebbles on sup[j], a prefix mask ANDs the rows of the placed stacks,
     and a suffix mask marks the cores that need nothing further on, so
-    each dominance test is two ANDs.
+    each dominance test is two ANDs,
+  - lex-leader symmetry breaking: with G_S the automorphisms that fix r and
+    map S onto itself, only compositions that are lexicographically largest
+    (in sup order) in their G_S-orbit are searched.  Each path carries the
+    elements whose image still ties with it on the decided positions, and a
+    placement is dropped as soon as one image is larger.  A leaf needs no
+    last comparison.  x is 0 on the positions left unplaced.  Let p be a
+    tied element's first position not yet compared: if pi[p] is unplaced,
+    the image holds 0 there; otherwise p is unplaced, and the chain pi[p],
+    pi[pi[p]], ... runs through compared positions, where x equals its
+    image, until it meets an unplaced one, so the image holds 0 as well.
+    So no image is larger at p, and the next position repeats the argument.
+
+The prunes are sound together.  Solvability, the caps and the sizes are
+G_S-invariant, so every image of a witness is a witness, and every prune
+but the last removes only solvable configurations; the lex-largest image
+of any witness therefore survives them all, and E(m) keeps its answer.
+The enumeration runs in descending lexicographic order, so the first
+witness it meets is the largest of its orbit, and the last prune never
+changes which witness is returned.  r's stabilizer is listed once per
+engine.  One larger than STABILIZER_LIMIT is not listed, and the search
+runs without symmetry; that stays sound, as any subset of G_S gives sound
+constraints.
 """
 
 from __future__ import annotations
@@ -30,8 +52,10 @@ from dataclasses import dataclass
 from .configurations import Configuration
 from .follower import FollowerEngine, engine_for
 from .graphs import Graph
+from .symmetry import automorphisms
 
 CORE_LIMIT = 400
+STABILIZER_LIMIT = 1_000  # a larger root stabilizer is not listed, and nothing is pruned by it
 
 
 def check_bounds(lower: int, upper: int | None):
@@ -72,7 +96,7 @@ class BilevelOutcome:
 
 
 class _Search:
-    """One instance's enumeration state: engine, caps, pair frontiers, cores."""
+    """One instance's enumeration state: engine, caps, pair frontiers, cores, G_S."""
 
     def __init__(self, inst: BilevelInstance, deadline: float | None):
         g, r = inst.graph, inst.root
@@ -94,6 +118,12 @@ class _Search:
         self.nodes = 0
         self.deadline = deadline
         self.cut = self._pair_frontiers()
+        if self.eng.stab is None:
+            try:
+                self.eng.stab = automorphisms(g, r, STABILIZER_LIMIT)
+            except ValueError:  # any subset of the group prunes soundly
+                self.eng.stab = []
+        self.sym = self._setwise_stabilizer()
 
     def check_time(self):
         if self.deadline is not None and time.monotonic() > self.deadline:
@@ -119,6 +149,32 @@ class _Search:
                 for b, c in enumerate(back):
                     cut[j][b][i] = c
         return cut
+
+    def _setwise_stabilizer(self):
+        """G_S, the elements of r's stabilizer that map S onto itself, as
+        comparison schedules; the identity and elements acting alike on S are
+        left out.  Each element moves the composition x (by sup position) to
+        an image y with y[p] = x[pi[p]], where pi is the inverse of its
+        position permutation; G_S is a group, so the set of pi is the set of
+        its position permutations.  Entry p of a schedule is (ready, sup[p],
+        sup[pi[p]]), where ready = max(p, pi[p]) is the position whose
+        placement decides both; a last entry with ready = s never becomes
+        ready.  Each schedule comes with its first moved position, where
+        comparison starts."""
+        sup, s = self.sup, len(self.sup)
+        pos = {v: i for i, v in enumerate(sup)}
+        perms = {
+            tuple(pos[p[v]] for v in sup)
+            for p in self.eng.stab
+            if all(p[v] in pos for v in sup)
+        }
+        perms.discard(tuple(range(s)))
+        sym = []
+        for pi in perms:
+            sched = [(max(p, j), sup[p], sup[j]) for p, j in enumerate(pi)]
+            sched.append((s, None, None))
+            sym.append((sched, next(p for p, j in enumerate(pi) if p != j)))
+        return sym
 
     def learn_core(self, items):
         """Record a solvable configuration, pointwise-minimized under the cheap
@@ -169,10 +225,29 @@ class _Search:
         D = self.D
         ok, pre, suf = self.ok, self.pre, self.suf
 
-        def rec(i: int, rem: int, W: int, pcap, top) -> dict[int, int] | None:
+        def still_tied(tied, i):
+            """The tied elements once sup[i] is placed, each with its first
+            position not yet compared; None once one shows a larger image."""
+            kept = []
+            for sched, p in tied:
+                ready, u, w = sched[p]
+                while ready <= i:
+                    a, b = q[u], q[w]
+                    if a != b:
+                        if b > a:
+                            return None
+                        break
+                    p += 1
+                    ready, u, w = sched[p]
+                else:
+                    kept.append((sched, p))
+            return kept
+
+        def rec(i: int, rem: int, W: int, pcap, top, tied) -> dict[int, int] | None:
             """pcap[j] (j >= i): caps[j] cut by every placed stack's pair
             frontier; top: (u1, y1, u2, y2), the two largest placed stacks,
-            the earlier placement first on ties."""
+            the earlier placement first on ties; tied: the elements of G_S
+            whose image equals x on every position compared so far."""
             self.nodes += 1
             self.check_time()
             if rem == 0:
@@ -205,10 +280,14 @@ class _Search:
             for y in range(hi, lo - 1, -1):
                 # pre[i] is reread: a core learned below joins it
                 pre[i + 1] = mask = pre[i] & row[y]
-                if y == 0:
-                    res = rec(i + 1, rem, W, pcap, top)
-                elif mask & suf[i + 1]:
+                if y and mask & suf[i + 1]:
                     continue
+                q[v] = y
+                below_tied = still_tied(tied, i) if tied else tied
+                if below_tied is None:
+                    res = None
+                elif y == 0:
+                    res = rec(i + 1, rem, W, pcap, top, below_tied)
                 else:
                     if y > y1:
                         below_top = (v, y, u1, y1)
@@ -216,15 +295,14 @@ class _Search:
                         below_top = (u1, y1, v, y)
                     else:
                         below_top = top
-                    q[v] = y
                     below_cap = list(map(min, pcap, cuts[y]))
-                    res = rec(i + 1, rem - y, W + y * wt[v], below_cap, below_top)
-                    q[v] = 0
+                    res = rec(i + 1, rem - y, W + y * wt[v], below_cap, below_top, below_tied)
+                q[v] = 0
                 if res is not None:
                     return res
             return None
 
-        return rec(0, m, 0, caps, (None, 0, None, 0))
+        return rec(0, m, 0, caps, (None, 0, None, 0), self.sym)
 
 
 def max_unsolvable(inst: BilevelInstance, deadline: float | None = None) -> BilevelOutcome:

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass
 
 from .configurations import Configuration
-from .follower import deadline_in, engine_for
+from .follower import check_time_cap, deadline_in, engine_for
 from .graphs import Graph, cartesian_product
 from .leader import check_bounds
 from .leader import pi_support as _pi_support
@@ -75,6 +75,7 @@ def pi_k_upper(
     if not 1 <= k <= c <= g.n - 1:
         raise ValueError(f"need 1 <= k <= c <= n-1, got k={k}, c={c}")
     check_bounds(lower, None)
+    check_time_cap(time_cap)
     pool = [(r, s) for r, sets in root_covers(g, k, c) for s in sets]
     chosen = pool
     if sample is not None and sample < len(pool):

@@ -44,10 +44,18 @@ def _refine_colors(g: Graph, colors: list[int]) -> list[int]:
         colors = fresh
 
 
-def automorphisms(g: Graph) -> list[tuple[int, ...]]:
-    """All adjacency-preserving vertex bijections, each as its tuple of images."""
+def automorphisms(
+    g: Graph, fixed: int | None = None, limit: int = MATERIALIZE_LIMIT
+) -> list[tuple[int, ...]]:
+    """All adjacency-preserving vertex bijections, each as its tuple of images;
+    with `fixed`, only those that fix it (its stabilizer).
+
+    The refinement starts with `fixed` in a colour class of its own, so the
+    stabilizer is listed without listing the whole group.  More than `limit`
+    elements raise ValueError.
+    """
     n = g.n
-    colors = _refine_colors(g, [g.degree(v) for v in range(n)])
+    colors = _refine_colors(g, [-1 if v == fixed else g.degree(v) for v in range(n)])
     cells: dict[int, list[int]] = {}
     for v in range(n):
         cells.setdefault(colors[v], []).append(v)
@@ -73,8 +81,8 @@ def automorphisms(g: Graph) -> list[tuple[int, ...]]:
     def extend(pos: int):
         if pos == n:
             found.append(tuple(image))
-            if len(found) > MATERIALIZE_LIMIT:
-                raise ValueError("automorphism group exceeds materialization limit")
+            if len(found) > limit:
+                raise ValueError(f"automorphism group exceeds {limit} elements")
             return
         u = order_of_visit[pos]
         for w in cells[colors[u]]:

@@ -168,7 +168,8 @@ def test_pi_support_monotone_in_support():
 def test_max_unsolvable_agrees_with_exhaustive_small():
     # every connected 4-vertex graph, every root, every support of size <= 2;
     # then 6-vertex graphs with supports of size 3-4, where pair frontiers,
-    # the two-stack merge tightening and dominance cores interact
+    # the two-stack merge tightening, dominance cores and the lex-leader
+    # prune interact
     edges4 = [
         [(0, 1), (1, 2), (2, 3)],
         [(0, 1), (1, 2), (2, 3), (3, 0)],
@@ -184,6 +185,7 @@ def test_max_unsolvable_agrees_with_exhaustive_small():
     ]
     cases = [(4, edges, (1, 2)) for edges in edges4]
     cases += [(6, edges, (3, 4)) for edges in edges6]
+    symmetric = 0  # instances whose lex-leader prune has an element to compare with
     for n, edges, sizes in cases:
         g = Graph(n, edges)
         for r in range(n):
@@ -202,50 +204,55 @@ def test_max_unsolvable_agrees_with_exhaustive_small():
                             q[v] = c
                         if not eng.decide(q):
                             best = m if best is None else max(best, m)
-                    out = max_unsolvable(BilevelInstance(g, r, support))
+                    inst = BilevelInstance(g, r, support)
+                    out = max_unsolvable(inst)
                     if best is None:
                         assert out.status == "Infeasible"
                     else:
                         assert out.status == "Optimal"
                         assert out.value == best
+                    symmetric += bool(_Search(inst, None).sym)
+    # 114 of the 480 instances: cycle:6, the star and K4 among them
+    assert symmetric >= 114
 
 
 # BilevelOutcome.nodes (leader nodes plus follower calls) on fixed instances:
 # any change in what the pair frontiers, the two-stack tightening (ties
-# included) or the dominance cores (CORE_LIMIT included) cut moves these counts.
+# included), the dominance cores (CORE_LIMIT included) or the lex-leader
+# prune cut moves these counts.
 # CUBE3_NODES gives each support a fresh graph, so every pair frontier is
 # probed; CUBE3_SHARED_NODES runs the same supports in order on one graph,
 # where a pair an earlier support probed costs neither a node nor a call
 CUBE3_NODES = [
     10, 13, 10, 13, 14, 19, 13, 10, 14, 13, 19, 14, 17, 17, 23, 13,
-    13, 19, 17, 23, 23, 23, 21, 26, 25, 33, 26, 34, 35, 44, 23, 25,
-    33, 35, 44, 43, 26, 35, 34, 44, 25, 23, 33, 33, 43, 44, 33, 33,
-    43, 42, 48, 48, 34, 44, 44, 48, 38, 52, 51, 62, 37, 36, 50, 49,
-    61, 61, 50, 49, 61, 64, 72, 71, 51, 62, 61, 71, 49, 50, 61, 62,
-    71, 72, 49, 61, 62, 71, 60, 71, 71, 105, 72,
+    13, 19, 17, 23, 23, 23, 21, 26, 25, 33, 26, 33, 35, 44, 23, 25,
+    33, 35, 44, 43, 26, 35, 33, 44, 25, 23, 33, 33, 43, 44, 33, 33,
+    43, 38, 48, 48, 33, 44, 44, 48, 38, 52, 51, 62, 37, 36, 50, 48,
+    61, 61, 50, 48, 61, 58, 72, 71, 51, 62, 61, 71, 48, 50, 61, 62,
+    71, 72, 49, 61, 62, 71, 60, 71, 71, 103, 72,
 ]
 CUBE3_SHARED_NODES = [
     10, 13, 10, 13, 14, 19, 13, 10, 14, 13, 19, 14, 17, 17, 23, 13,
-    13, 19, 17, 23, 23, 8, 12, 12, 11, 10, 12, 15, 17, 16, 8, 11,
-    10, 17, 16, 16, 12, 17, 15, 16, 11, 8, 10, 15, 16, 16, 15, 15,
-    16, 21, 17, 17, 15, 16, 16, 17, 12, 19, 18, 15, 11, 10, 11, 17,
-    15, 15, 17, 17, 15, 26, 19, 19, 18, 15, 15, 19, 17, 17, 15, 24,
-    19, 19, 16, 15, 15, 19, 22, 19, 19, 48, 19,
+    13, 19, 17, 23, 23, 8, 12, 12, 11, 10, 12, 14, 17, 16, 8, 11,
+    10, 17, 16, 16, 12, 17, 14, 16, 11, 8, 10, 15, 16, 16, 15, 15,
+    16, 17, 17, 17, 14, 16, 16, 17, 12, 19, 18, 15, 11, 10, 11, 16,
+    15, 15, 17, 16, 15, 20, 19, 19, 18, 15, 15, 19, 16, 17, 15, 24,
+    19, 19, 16, 15, 15, 19, 22, 19, 19, 46, 19,
 ]
 PINNED = [
     ("lemke1", 0, (1, 2), 3, 13),
     ("lemke1", 0, (3, 4, 5), 5, 42),
-    ("lemke1", 0, (1, 3, 5, 7), 6, 58),
-    ("lemke1", 0, (1, 2, 3, 4, 5, 6, 7), 7, 377),
+    ("lemke1", 0, (1, 3, 5, 7), 6, 54),
+    ("lemke1", 0, (1, 2, 3, 4, 5, 6, 7), 7, 303),
     ("cube:4", 0, (1, 2, 4, 8, 15), 15, 106),
-    ("cube:4", 0, (3, 5, 6, 9, 10, 12), 10, 173),
-    ("cube:4", 0, (7, 11, 13, 14, 15), 15, 1933),
-    ("cube:4", 0, (1, 2, 4, 7, 8, 11, 13, 14), 12, 1817),
-    ("cube:4", 0, tuple(range(1, 11)), 10, 1054),
+    ("cube:4", 0, (3, 5, 6, 9, 10, 12), 10, 135),
+    ("cube:4", 0, (7, 11, 13, 14, 15), 15, 598),
+    ("cube:4", 0, (1, 2, 4, 7, 8, 11, 13, 14), 12, 564),
+    ("cube:4", 0, tuple(range(1, 11)), 10, 835),
     ("cube:4", 0, (4, 6, 8, 9, 11, 13), 10, 223),
     ("cube:4", 0, (2, 3, 5, 11, 14, 15), 15, 410),
     # learns more than CORE_LIMIT cores
-    ("product:lemke1,path:2", 0, (4, 5, 6, 7, 8, 10, 11, 15), 13, 17365),
+    ("product:lemke1,path:2", 0, (4, 5, 6, 7, 8, 10, 11, 15), 13, 11853),
 ]
 
 
@@ -262,6 +269,16 @@ def test_leader_node_counts_are_pinned():
     g6 = Graph(6, [(0, 1), (1, 2), (1, 3), (2, 3), (2, 4), (4, 5)])
     out = max_unsolvable(BilevelInstance(g6, 0, (2, 3, 4, 5)))
     assert (out.status, out.value, out.nodes) == ("Optimal", 16, 137)
+
+
+def test_large_root_stabilizers_are_not_listed():
+    # K9's root stabilizer has 8! elements and K11's 10!, past both
+    # STABILIZER_LIMIT and MATERIALIZE_LIMIT: the leader prunes without them
+    for n in (9, 11):
+        t0 = time.monotonic()
+        out = max_unsolvable(BilevelInstance(catalog(f"complete:{n}"), 0, tuple(range(1, n))))
+        assert (out.status, out.value) == ("Optimal", n - 1)
+        assert time.monotonic() - t0 < 0.2
 
 
 def test_warm_frontier_table_matches_cold():

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from pebbling import orchestrator
 from pebbling.configurations import Configuration
 from pebbling.follower import engine_for, max_deliverable
 from pebbling.graphs import Graph, catalog
@@ -110,11 +111,16 @@ def test_pi_k_upper_retries_a_timed_out_instance_once():
     assert not report.complete
 
 
-def test_pi_k_upper_validates_arguments():
+def test_pi_k_upper_validates_arguments(monkeypatch):
     with pytest.raises(ValueError):
         pi_k_upper(catalog("cube:3"), 3, 2)
     with pytest.raises(ValueError):
         pi_k_upper(catalog("cube:3"), 0, 2)
+    # a cap not above 0 is rejected before any root's cover is built
+    monkeypatch.setattr(orchestrator, "support_class_reps", None)  # calling it raises TypeError
+    for cap in (0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="time cap"):
+            pi_k_upper(catalog("cube:3"), 2, 3, time_cap=cap)
 
 
 def test_two_pebbling_holds_on_small_graphs():

@@ -98,6 +98,26 @@ def test_stabilizer_fixes_root():
     assert len(orbit) * len(stab) == len(group)
 
 
+def test_fixed_vertex_lists_its_stabilizer():
+    # the refinement that starts with the root in a class of its own lists
+    # the same elements as filtering the whole group, each once
+    cases = [(spec, range(catalog(spec).n))
+             for spec in ("lemke1", "cube:4", "product:path:2,lemke1")]
+    cases.append(("product:lemke1,lemke1", (3, 9)))
+    orders = {}
+    for spec, roots in cases:
+        g = catalog(spec)
+        group = automorphisms(g)
+        for r in roots:
+            stab = automorphisms(g, r)
+            assert len(set(stab)) == len(stab)
+            assert set(stab) == set(stabilizer(group, r)), (spec, r)
+            orders[spec, r] = len(stab)
+    assert (orders["product:lemke1,lemke1", 3], orders["product:lemke1,lemke1", 9]) == (12, 72)
+    with pytest.raises(ValueError, match="exceeds 100 elements"):
+        automorphisms(catalog("complete:6"), 0, 100)
+
+
 def test_support_classes_cycle4():
     g = catalog("cycle:4")
     classes = support_class_reps(g, 0, 2)
