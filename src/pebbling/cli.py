@@ -292,7 +292,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         # solve, pis, pi and twopp bound the whole call; pik, graham and batch
-        # pass time_cap on, to bound each attempt at an instance on its own
+        # pass time_cap on, to bound each instance on its own
         args.deadline = deadline_in(getattr(args, "time_cap", None))
         return args.func(args)
     except TimeoutError:  # an OSError, so caught before the clause below

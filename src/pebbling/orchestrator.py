@@ -1,11 +1,11 @@
 """Execution of leader instances: plans, shards, resumable logs, summaries.
 
-`execute` is the one runner of leader instances: each attempt gets its own
-cap, a TimedOut one is retried once, and every attempt yields a
-`ResultRecord`.  `run` appends them to a JSON-lines log as they arrive, and
-`pipeline.pi_k_upper` reads them back.  Plans assign whole roots to workers,
-round-robin by descending cover size, so per-worker loads stay balanced.  A
-killed run resumes by skipping keys whose final record is already on disk.
+`execute` is the one runner of leader instances: each instance is solved
+once under its own cap and yields one `ResultRecord`.  `run` appends them to
+a JSON-lines log as they arrive, and `pipeline.pi_k_upper` reads them back.
+Plans assign whole roots to workers, round-robin by descending cover size,
+so per-worker loads stay balanced.  A killed run resumes by skipping keys
+that already have a record on disk.
 Multi-machine operation is file-based: each machine takes one shard of the
 same plan and writes its own log.
 """
@@ -57,7 +57,6 @@ class ResultRecord:
     value: int | None
     elapsed_s: float
     nodes: int
-    retried: bool
     # Optimal only: the witness's pebble count on each support vertex
     witness: tuple[int, ...] | None = None
 
@@ -251,7 +250,8 @@ def _seal_tail(path: str):
 
 
 def final_records(records) -> dict[str, ResultRecord]:
-    """Latest record per key; a retried record supersedes its TimedOut one."""
+    """Latest record per key: a log rerun without resume, or an older one
+    with retries, can hold several."""
     return {rec.key: rec for rec in records}
 
 
@@ -265,9 +265,9 @@ def run(
 ) -> list[ResultRecord]:
     """Execute unfinished plan instances, appending durable records as they finish.
 
-    Every record `execute` yields, a TimedOut one and its retry alike, is
-    appended before the next attempt starts; the retry record supersedes.
-    A time_cap that check_time_cap rejects raises before the log is touched.
+    Each record `execute` yields is appended before the next instance starts,
+    and on resume a key with any record, TimedOut included, is settled.  A
+    time_cap that check_time_cap rejects raises before the log is touched.
     """
     check_time_cap(time_cap)
     g = graph or parse_graph_spec(p.graph_spec)
@@ -280,8 +280,7 @@ def run(
             raise ValueError(f"shard index {index} out of range")
         todo = [i for i in todo if i.worker == index]
     if resume and os.path.exists(out_path):
-        final = final_records(load_records(out_path)).values()
-        settled = {rec.key for rec in final if rec.status != "TimedOut" or rec.retried}
+        settled = {rec.key for rec in load_records(out_path)}
         todo = [i for i in todo if i.key not in settled]
     new_records = []
     _seal_tail(out_path)
@@ -293,32 +292,21 @@ def run(
 
 
 def execute(g: Graph, instances, time_cap: float | None):
-    """Solve each instance on g, yielding a record per attempt.
-
-    time_cap bounds each attempt on its own.  A TimedOut instance is retried
-    once, straight away, under a fresh cap and on the engine's warm tables.
-    """
+    """Solve each instance on g once, yielding its record; time_cap bounds
+    each instance on its own."""
     for inst in instances:
-        rec = _execute(g, inst, deadline_in(time_cap), retried=False)
-        yield rec
-        if rec.status == "TimedOut":
-            yield _execute(g, inst, deadline_in(time_cap), retried=True)
-
-
-def _execute(g: Graph, inst: PlannedInstance, deadline, retried: bool) -> ResultRecord:
-    bil = BilevelInstance(g, inst.root, inst.support, lower=inst.lower, upper=inst.upper)
-    out = max_unsolvable(bil, deadline)
-    return ResultRecord(
-        key=inst.key,
-        root=inst.root,
-        support=tuple(inst.support),
-        status=out.status,
-        value=out.value,
-        elapsed_s=out.elapsed,
-        nodes=out.nodes,
-        retried=retried,
-        witness=None if out.witness is None else tuple(out.witness[v] for v in inst.support),
-    )
+        bil = BilevelInstance(g, inst.root, inst.support, lower=inst.lower, upper=inst.upper)
+        out = max_unsolvable(bil, deadline_in(time_cap))
+        yield ResultRecord(
+            key=inst.key,
+            root=inst.root,
+            support=tuple(inst.support),
+            status=out.status,
+            value=out.value,
+            elapsed_s=out.elapsed,
+            nodes=out.nodes,
+            witness=None if out.witness is None else tuple(out.witness[v] for v in inst.support),
+        )
 
 
 def _append(fh, rec: ResultRecord):

@@ -21,7 +21,6 @@ from .orchestrator import (
     PlannedInstance,
     ResultRecord,
     execute,
-    final_records,
     instance_key,
     report,
     root_covers,
@@ -34,7 +33,7 @@ class PebblingReport:
     value: int
     certificate: Configuration | None
     complete: bool
-    instances: list[ResultRecord]  # every attempt; a retry follows its TimedOut one
+    instances: list[ResultRecord]  # one per instance solved, in plan order
 
 
 def pi_rooted(g: Graph, r: int, deadline: float | None = None) -> int:
@@ -66,8 +65,8 @@ def pi_k_upper(
 
     lower sets the infeasibility threshold L (Class-0 mode is L = |V|): when
     every instance is Infeasible, π_k(G) <= L is certified and L is reported.
-    time_cap bounds each attempt on its own; a TimedOut instance is retried
-    once, and one whose retry times out too leaves the report incomplete.
+    time_cap bounds each instance on its own, and a TimedOut instance leaves
+    the report incomplete.
     With c = k the covering step is lossless and the bound is exact.
     Sampling solves a random subset of instances; the report is then flagged
     incomplete and certifies nothing beyond the sampled instances.
@@ -85,7 +84,7 @@ def pi_k_upper(
         for r, s in chosen
     ]
     records = list(execute(g, planned, time_cap))
-    optimal = [rec for rec in final_records(records).values() if rec.status == "Optimal"]
+    optimal = [rec for rec in records if rec.status == "Optimal"]
     # the first of the largest witnesses certifies the bound
     best = max(optimal, key=lambda rec: rec.value, default=None)
     certificate = None

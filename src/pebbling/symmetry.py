@@ -165,13 +165,16 @@ def _canonical_subsets(perms, others, k) -> np.ndarray:
     Every permutation in `perms` must map `others` onto itself.  Rows start
     as every k-subset in lexicographic order; each permutation drops the rows
     whose sorted image is lexicographically smaller, so the survivors are the
-    lex-minimal forms, still in lexicographic order.
+    lex-minimal forms, still in lexicographic order.  One that fixes every
+    vertex of `others`, such as the identity, can drop no row and is skipped.
     """
     count = math.comb(len(others), k)
     rows = np.fromiter(
         chain.from_iterable(combinations(others, k)), dtype=np.intp, count=count * k
     ).reshape(count, k)
     for p in perms:
+        if all(p[v] == v for v in others):
+            continue
         image = np.asarray(p, dtype=np.intp)[rows]
         image.sort(axis=1)
         lower = np.zeros(len(rows), dtype=bool)

@@ -150,7 +150,7 @@ def test_pik_class0(capsys):
     assert "complete" in out
 
 
-def test_pik_retries_and_counts_timed_out_instances(capsys):
+def test_pik_counts_timed_out_instances(capsys):
     # cube:3 has one root orbit, and c = n - 1 gives it one cover set
     code, out = run_cli(
         capsys, "pik", "--graph", "cube:3", "--k", "4", "--c", "7", "--time-cap", "1e-6"
@@ -325,8 +325,8 @@ def test_bad_outside_input_is_one_error_line(tmp_path, capsys, argv, named):
 
 
 def test_nonpositive_time_cap_settles_no_instance(tmp_path, capsys):
-    # a cap of -1 would time out every attempt and its retry, and a resumed
-    # batch would then count each instance as settled
+    # a cap of -1 would time out every instance, and a resumed batch would
+    # then count each one as settled
     plan_path, log_path = tmp_path / "plan.json", tmp_path / "log.jsonl"
     run_cli(capsys, "plan", "--graph", "cube:3", "--k", "2", "--c", "4",
             "--lower", "1", "--out", str(plan_path))

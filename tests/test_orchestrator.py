@@ -26,7 +26,7 @@ from pebbling.pipeline import pi_k_upper
 from pebbling.symmetry import orbit_representatives
 
 
-def _record(key, status="Optimal", elapsed=1.0, retried=False, root=0):
+def _record(key, status="Optimal", elapsed=1.0, root=0):
     return ResultRecord(
         key=key,
         root=root,
@@ -35,7 +35,6 @@ def _record(key, status="Optimal", elapsed=1.0, retried=False, root=0):
         value=3 if status == "Optimal" else None,
         elapsed_s=elapsed,
         nodes=10,
-        retried=retried,
     )
 
 
@@ -156,11 +155,9 @@ def test_run_executes_and_logs(tmp_path):
     p = plan(g, 1, 1, 1, None, workers=1, graph_spec="path:3")
     out = tmp_path / "results.jsonl"
     records = run(p, None, str(out), graph=g)
-    assert len(records) == len(p.instances)
     on_disk = load_records(str(out))
-    assert [r.key for r in on_disk] == [r.key for r in records]
+    assert [r.key for r in on_disk] == [r.key for r in records] == [i.key for i in p.instances]
     assert all(r.status == "Optimal" for r in on_disk)
-    assert not any(r.retried for r in on_disk)
 
 
 def test_run_rejects_a_cap_not_above_zero_before_touching_the_log(tmp_path):
@@ -243,7 +240,6 @@ def test_torn_trailing_line_ignored(tmp_path):
             "value": 1,
             "elapsed_s": 0.5,
             "nodes": 3,
-            "retried": False,
         }
     )
     out.write_text(good + "\n" + good[: len(good) // 2])
@@ -301,7 +297,7 @@ def test_resume_keeps_a_whole_unterminated_record(tmp_path):
     assert len(load_records(str(out))) == len(text)
 
 
-def test_timeout_retries_once(tmp_path):
+def test_timeout_yields_one_record(tmp_path):
     # eight distance-4 support vertices need real search, so a tiny cap trips
     g = catalog("product:lemke1,lemke1")
     support = (18, 19, 20, 21, 23, 26, 27, 28)
@@ -325,16 +321,32 @@ def test_timeout_retries_once(tmp_path):
     )
     out = tmp_path / "results.jsonl"
     records = run(p, 1e-9, str(out), graph=g)
-    assert [r.status for r in records] == ["TimedOut", "TimedOut"]
-    assert [r.retried for r in records] == [False, True]
-    # both were logged durably and the retried one supersedes
-    final = final_records(load_records(str(out)))
-    assert final[records[0].key].retried
+    assert [r.status for r in records] == ["TimedOut"]
+    # logged durably, and a resumed run counts the key as settled
+    assert load_records(str(out)) == records
+    assert run(p, 1e-9, str(out), graph=g) == []
+
+
+def test_execute_yields_one_record_per_instance_in_plan_order(tmp_path):
+    g = catalog("product:lemke1,lemke1")
+    slow = (28, 35, 36, 37, 38, 39)  # minutes of search at root 9
+    instances = [
+        PlannedInstance(instance_key(r, s, lower, None), r, s, lower, None, worker=0)
+        for r, s, lower in [(0, (1,), 1), (9, slow, 64), (0, (18, 19, 20, 21, 23, 26, 27, 28), 64)]
+    ]
+    p = JobPlan(g.name, 4, 8, 1, None, 1, instances)
+    out = tmp_path / "results.jsonl"
+    # run appends exactly what execute yields
+    records = run(p, 1.0, str(out), graph=g)
+    assert [r.key for r in records] == [i.key for i in instances]
+    assert [r.status for r in records] == ["Optimal", "TimedOut", "Infeasible"]
+    assert load_records(str(out)) == records
+    assert run(p, 1.0, str(out), graph=g) == []
 
 
 def test_final_records_last_wins():
     a = _record("k1", status="TimedOut", elapsed=1.0)
-    b = _record("k1", status="Optimal", elapsed=3.0, retried=True)
+    b = _record("k1", status="Optimal", elapsed=3.0)
     final = final_records([a, b])
     assert final["k1"].status == "Optimal"
 
@@ -357,10 +369,10 @@ def test_report_empty():
 
 def test_report_counts_unresolved_timeouts():
     recs = [
+        # k1 was rerun without resume and timed out twice
         _record("k1", status="TimedOut"),
-        _record("k1", status="TimedOut", retried=True),
+        _record("k1", status="TimedOut"),
         _record("k2", status="Optimal", root=1),
-        # a worker killed between a TimedOut record and its retry
         _record("k3", status="TimedOut", root=1),
     ]
     summary = report(recs)
@@ -402,7 +414,27 @@ def test_log_with_sense_keys_loads_and_resumes_to_noop(tmp_path):
 def test_report_superseding_uses_final_elapsed():
     recs = [
         _record("k1", status="TimedOut", elapsed=9.0),
-        _record("k1", status="Optimal", elapsed=1.0, retried=True),
+        _record("k1", status="Optimal", elapsed=1.0),
     ]
     summary = report(recs)
     assert summary.t_avg == pytest.approx(1.0)
+
+
+def test_old_log_timed_out_before_its_retry_is_settled_and_incomplete(tmp_path):
+    # a worker that wrote retries, killed between a TimedOut record and its retry
+    g = catalog("path:3")
+    p = plan(g, 1, 1, 1, None, workers=1, graph_spec="path:3")
+    log = "".join(
+        json.dumps({"key": i.key, "root": i.root, "support": list(i.support),
+                    "status": "Optimal" if n else "TimedOut", "value": 1 if n else None,
+                    "elapsed_s": 0.5, "nodes": 7, "retried": False}) + "\n"
+        for n, i in enumerate(p.instances)
+    )
+    out = tmp_path / "results.jsonl"
+    out.write_text(log)
+    records = load_records(str(out))
+    assert [r.status for r in records] == ["TimedOut"] + ["Optimal"] * (len(records) - 1)
+    assert run(p, None, str(out), graph=g) == []
+    assert out.read_text() == log
+    summary = report(records)
+    assert summary.instance_count == len(p.instances) and summary.incomplete == 1

@@ -101,12 +101,10 @@ def test_pi_k_upper_sampling_flags_incomplete():
     assert len(report.instances) == 1
 
 
-def test_pi_k_upper_retries_a_timed_out_instance_once():
+def test_pi_k_upper_records_a_timed_out_instance_once():
     report = pi_k_upper(catalog("cube:3"), 4, 7, time_cap=1e-6)
-    keys = list(dict.fromkeys(rec.key for rec in report.instances))
-    assert keys
-    for key in keys:
-        assert [rec.retried for rec in report.instances if rec.key == key] == [False, True]
+    keys = [rec.key for rec in report.instances]
+    assert keys and len(set(keys)) == len(keys)
     assert all(rec.status == "TimedOut" for rec in report.instances)
     assert not report.complete
 
