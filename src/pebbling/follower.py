@@ -19,13 +19,12 @@ Layer 1 only ever claims "solvable"; layer 2 is complete.  decide runs
 both; max_deliverable runs only layer 2, one search per goal, and keeps the
 path of the last goal it reaches.
 
-One engine per (graph, root) lives as long as its graph and owns four
-tables that it shares across calls: its dead sets (decide's and
-max_deliverable's alike), its meeting table, its frontier table, which
-holds for each pair of support vertices the leader's exact pair frontier of
-the cheap accepts, probed on first use, and r's stabilizer in the
-automorphism group, which the leader lists on first use.  A deadline
-belongs to one call.
+One engine per (graph, root) lives as long as its graph and shares across
+calls its dead sets (decide's and max_deliverable's alike) and its meeting
+table.  It also holds two tables that the leader fills on first use and
+reuses across instances: the frontier table, with the leader's one-way pair
+frontier of the cheap accepts for each pair of support vertices, and r's
+stabilizer in the automorphism group.  A deadline belongs to one call.
 bfs_oracle is the reference checker that re-verifies answers independently.
 """
 
@@ -82,7 +81,8 @@ class FollowerEngine:
         self.dfs_nodes = 0
         self._dead: dict[int, set] = {}
         self._meet: list[list | None] = [None] * (self.n * self.n)
-        self.fronts: list[tuple | None] = [None] * (self.n * self.n)
+        # the leader's one-way pair frontiers, by u * n + v with u first in its order
+        self.fronts: list[list[int] | None] = [None] * (self.n * self.n)
         # r's stabilizer as image tuples; the leader lists it, as only it holds the graph
         self.stab: list[tuple[int, ...]] | None = None
 
@@ -144,33 +144,6 @@ class FollowerEngine:
                                 bk, bm, bi, bj, bw = k, m, i, j, w
             stacks = [stacks[k] for k in range(len(stacks)) if k not in (bi, bj)]
             stacks.append([bw, bm])
-
-    def frontier(self, u: int, v: int):
-        """Pair frontier of the cheap accepts for stacks on u and v, u first
-        in the leader's (-d, index) order: fwd[a] caps v once u holds a, and
-        back[b] caps u once v holds b.  Exact and monotone: b on v next to a
-        on u is provably solvable from the least such b on, so one less caps
-        v (caps[v] where no b suffices); back inverts that frontier.  Stored
-        in fronts[u * n + v] only once complete."""
-        cu, cv = self.caps[u], self.caps[v]
-        fwd, back = [], [cu] * (cv + 1)
-        probe = [0] * self.n
-        b = filled = cv + 1
-        for a in range(cu + 1):
-            probe[u] = a
-            while b > 0:
-                probe[v] = b - 1
-                if self.decide_cheap(probe):
-                    b -= 1
-                else:
-                    break
-            fwd.append(b - 1)
-            # a is the least count on u that b..filled-1 on v solve
-            for bb in range(b, filled):
-                back[bb] = a - 1
-            filled = b
-        self.fronts[u * self.n + v] = fwd, back
-        return fwd, back
 
     def _accepts(self, q, goal) -> bool:
         """Layer 1 in cost order; True means solvable."""

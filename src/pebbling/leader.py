@@ -9,9 +9,12 @@ is Infeasible before any frontier is read or built.
 
 Per-size search enumerates compositions over the support, restricted by
 per-vertex solvability caps (2^dist - 1), and prunes with:
-  - pairwise frontiers: for each support pair, the exact threshold where
-    the cheap accepts prove two stacks solvable, from the engine's frontier
-    table; placed stacks then cap every remaining vertex by table lookup,
+  - pairwise frontiers: for each support pair u before v in sup order and
+    each count a on u, the exact threshold on v where the cheap accepts
+    prove the two stacks solvable, probed here on first use and kept in the
+    engine's frontier table; each placed stack then caps every later vertex
+    by table lookup.  One direction suffices, as the search places the
+    vertices in sup order and caps only those not yet placed,
   - capacity windows over remaining vertices, further tightened by what the
     two largest placed stacks can merge onto each remaining vertex,
   - learned dominance cores: solvable configurations pruning their entire
@@ -130,24 +133,34 @@ class _Search:
             raise TimeoutError("leader deadline elapsed")
 
     def _pair_frontiers(self):
-        """cut[i][a][j]: the cap on sup[j] once sup[i] holds a pebbles, from
-        the engine's frontier table; a pair it lacks is probed, counted as one
-        node and followed by a deadline check.  caps[j] on j = i."""
+        """cut[i][a][j]: the cap on sup[j] once sup[i] holds a pebbles, for
+        j > i only (caps[j] elsewhere), as rec caps only the positions after a
+        placed stack.  fronts[u * n + v], u = sup[i] and v = sup[j], holds fwd
+        with fwd[a] = cut[i][a][j].  A pair the table lacks is probed down the
+        staircase: the least b on v that the cheap accepts solve next to a on u
+        never rises with a, and fwd[a] is one less (caps[v] where no b does).
+        It is stored once complete, counted as one node, then the clock read."""
         sup, caps, eng, n = self.sup, self.caps, self.eng, self.n
         cut = [[list(caps) for _ in range(c + 1)] for c in caps]
         for i, u in enumerate(sup):
             for j in range(i + 1, len(sup)):
                 v = sup[j]
-                pair = eng.fronts[u * n + v]
-                if pair is None:
-                    pair = eng.frontier(u, v)
+                fwd = eng.fronts[u * n + v]
+                if fwd is None:
+                    fwd, b, probe = [], caps[j] + 1, [0] * n
+                    for a in range(caps[i] + 1):
+                        probe[u] = a
+                        while b > 0:
+                            probe[v] = b - 1
+                            if not eng.decide_cheap(probe):
+                                break
+                            b -= 1
+                        fwd.append(b - 1)
+                    eng.fronts[u * n + v] = fwd
                     self.nodes += 1
                     self.check_time()
-                fwd, back = pair
                 for a, c in enumerate(fwd):
                     cut[i][a][j] = c
-                for b, c in enumerate(back):
-                    cut[j][b][i] = c
         return cut
 
     def _setwise_stabilizer(self):
@@ -246,7 +259,8 @@ class _Search:
         def rec(i: int, rem: int, W: int, pcap, top, tied) -> dict[int, int] | None:
             """pcap[j] (j >= i): caps[j] cut by every placed stack's pair
             frontier; top: (u1, y1, u2, y2), the two largest placed stacks,
-            the earlier placement first on ties; tied: the elements of G_S
+            the earlier placement first on ties, where zero-height stacks on
+            sup[0] stand in until two are placed; tied: the elements of G_S
             whose image equals x on every position compared so far."""
             self.nodes += 1
             self.check_time()
@@ -256,20 +270,17 @@ class _Search:
                     self.learn_core(placed)
                     return None
                 return dict(placed)
+            # the two largest placed stacks merged onto vj tighten its cap;
+            # merged onto r they add nothing, as each lies within its cap
             u1, y1, u2, y2 = top
-            if u2 is None:
-                tcaps = pcap[i:]  # never negative: no lone stack within its cap is accepted
-            else:
-                # the two largest placed stacks merged onto vj tighten its cap;
-                # merged onto r they add nothing, as each lies within its cap
-                D1, D2 = D[u1], D[u2]
-                tcaps = []
-                for j in range(i, s):
-                    vj = sup[j]
-                    c = caps[j] - (y1 >> D1[vj]) - (y2 >> D2[vj])
-                    if pcap[j] < c:
-                        c = pcap[j]
-                    tcaps.append(c if c > 0 else 0)
+            D1, D2 = D[u1], D[u2]
+            tcaps = []
+            for j in range(i, s):
+                vj = sup[j]
+                c = caps[j] - (y1 >> D1[vj]) - (y2 >> D2[vj])
+                if pcap[j] < c:
+                    c = pcap[j]
+                tcaps.append(c if c > 0 else 0)
             total = sum(tcaps)
             if rem > total:
                 return None
@@ -302,7 +313,7 @@ class _Search:
                     return res
             return None
 
-        return rec(0, m, 0, caps, (None, 0, None, 0), self.sym)
+        return rec(0, m, 0, caps, (sup[0], 0, sup[0], 0), self.sym)
 
 
 def max_unsolvable(inst: BilevelInstance, deadline: float | None = None) -> BilevelOutcome:

@@ -52,9 +52,11 @@ def automorphisms(
 
     The refinement starts with `fixed` in a colour class of its own, so the
     stabilizer is listed without listing the whole group.  More than `limit`
-    elements raise ValueError.
+    elements, or a `fixed` outside 0..n-1, raise ValueError.
     """
     n = g.n
+    if fixed is not None and not 0 <= fixed < n:
+        raise ValueError(f"fixed vertex {fixed} out of range")
     colors = _refine_colors(g, [-1 if v == fixed else g.degree(v) for v in range(n)])
     cells: dict[int, list[int]] = {}
     for v in range(n):

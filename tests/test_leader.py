@@ -6,7 +6,8 @@ from itertools import combinations, product
 
 import pytest
 
-from pebbling.follower import FollowerEngine, engine_for
+from pebbling.configurations import Configuration
+from pebbling.follower import FollowerEngine, bfs_oracle, engine_for
 from pebbling.graphs import Graph, catalog
 from pebbling.leader import (
     BilevelInstance,
@@ -307,21 +308,31 @@ def test_warm_frontier_table_matches_cold():
 
 
 def test_pair_frontiers_lie_within_the_caps():
-    # rec's one-stack branch takes pcap as it is: no frontier entry is negative
+    # each stored frontier is the exact staircase of the cheap accepts within
+    # the caps: {u: a, v: b} is accepted exactly when b > fwd[a], and on the
+    # graphs of 8 vertices bfs_oracle delivers a pebble from every such b.
+    # No entry is negative, so rec's cap for a lone placed stack is pcap
     lemke = catalog("lemke1")
     label = list(range(lemke.n))
     random.Random(6).shuffle(label)
     scrambled = Graph(lemke.n, [(label[u], label[v]) for u, v in lemke.edges])
-    graphs = [catalog(s) for s in ("lemke1", "cube:4", "product:path:2,lemke1")]
+    graphs = [catalog(s) for s in ("lemke1", "cube:3", "cube:4", "product:path:2,lemke1")]
     for g in graphs + [scrambled]:
         for r in range(g.n):
             eng = FollowerEngine(g, r)
             d = g.distance_table[r]
             order = sorted((v for v in range(g.n) if v != r), key=lambda v: (-d[v], v))
+            fronts = _Search(BilevelInstance(g, r, order), None).eng.fronts
             for u, v in combinations(order, 2):
-                fwd, back = eng.frontier(u, v)
+                fwd = fronts[u * g.n + v]
+                assert len(fwd) == eng.caps[u] + 1
                 assert all(0 <= c <= eng.caps[v] for c in fwd)
-                assert all(0 <= c <= eng.caps[u] for c in back)
+                probe = [0] * g.n
+                for a, b in product(range(eng.caps[u] + 1), range(eng.caps[v] + 1)):
+                    probe[u], probe[v] = a, b
+                    assert eng.decide_cheap(probe) == (b > fwd[a]), (r, u, v, a, b)
+                    if g.n <= 8 and b > fwd[a]:
+                        assert bfs_oracle(g, Configuration(probe), r) >= 1, (r, u, v, a, b)
 
 
 def test_learned_cores_are_never_all_zero():

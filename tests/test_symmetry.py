@@ -116,6 +116,10 @@ def test_fixed_vertex_lists_its_stabilizer():
     assert (orders["product:lemke1,lemke1", 3], orders["product:lemke1,lemke1", 9]) == (12, 72)
     with pytest.raises(ValueError, match="exceeds 100 elements"):
         automorphisms(catalog("complete:6"), 0, 100)
+    # a fixed vertex outside the graph would fix nothing and list the whole group
+    for fixed in (8, 99, -1):
+        with pytest.raises(ValueError, match=f"fixed vertex {fixed} out of range"):
+            automorphisms(catalog("cube:3"), fixed)
 
 
 def test_support_classes_cycle4():
